@@ -1,14 +1,15 @@
 """Series assembly, evaluation, and digit-level verification.
 
-The coefficient sequences are exact rationals throughout: rounding enters
-only in the final accumulation of a partial sum. c_2(n) is
+The coefficients c_p(n) are exact. For even p they are stored as the
+integers N_p(n) = 64^n c_p(n), built by integer convolution from the base
+sequence C(2n,n)^3:
 
-    c_2(n) = 2^(-6n) sum_{s=0}^{n} C(2s,s)^3 C(2n-2s,n-s)^3
+    N_2 = base * base,    N_p = N_{p-2} * N_2,
 
-and c_p for even p is the p-fold convolution power of the base sequence
-C(2n,n)^3/64^n (equivalently c_{p-2} convolved with c_2). ``ExactRational``
-is Python's Fraction: unbounded integers, always reduced, positive
-denominator, which is exactly the contract the coefficients need.
+so c_2(n) = 2^(-6n) sum_{s=0}^{n} C(2s,s)^3 C(2n-2s,n-s)^3 and c_p is the
+p-fold convolution power of C(2n,n)^3/64^n. Rounding enters only in the
+final accumulation of a partial sum, where each N_p(n) is rounded once to
+the working precision and scaled exactly by 2^(-6n).
 
 A SeriesSpec is a fully determined series
 
@@ -19,9 +20,8 @@ from the solved A-coefficients by the falling-factorial-to-monomial
 conversion (signed Stirling numbers of the first kind). Internally B_0 is
 normalized to 1; published normalizations are handled by the catalog.
 
-Evaluation is plain accumulation in fixed-size chunks with a deterministic
-reduction order, so repeated runs are bit-identical and chunks could be
-summed in parallel without changing the result.
+Evaluation accumulates in fixed-size chunks with a fixed reduction order,
+so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 import mpmath
 from mpmath import mp
@@ -40,39 +41,47 @@ from .elliptic import GUARD, singular_modulus
 from .errors import DomainError, InsufficientPrecisionError, NonConvergentSeriesError
 from .symbolic import solve_coefficients
 
-#: exact rational carrier for the series coefficients
-ExactRational = Fraction
-
 SCHEMA = "piforge/1"
 _CHUNK = 32
 
 
 @functools.lru_cache(maxsize=None)
-def _base(n: int) -> Fraction:
-    return Fraction(comb(2 * n, n) ** 3, 64 ** n)
+def _store(p: int) -> list[int]:
+    """The list [N_p(0), N_p(1), ...] as filled so far; p = 1 holds C(2n,n)^3.
+
+    One list per p, grown in order by ``_scaled``; ``cache_clear``
+    empties the store.
+    """
+    return []
 
 
-@functools.lru_cache(maxsize=None)
+def _scaled(p: int, n: int) -> list[int]:
+    """The integers N_p(m) = 64^m c_p(m) for m <= n (and any filled beyond)."""
+    table = _store(p)
+    if len(table) <= n:
+        if p == 1:
+            table.extend(comb(2 * m, m) ** 3 for m in range(len(table), n + 1))
+        else:
+            left = _scaled(1 if p == 2 else p - 2, n)
+            right = _scaled(1 if p == 2 else 2, n)
+            for m in range(len(table), n + 1):
+                table.append(sum(map(mul, left[:m + 1], right[m::-1])))
+    return table
+
+
 def c2(n: int) -> Fraction:
     """c_2(n) = 2^(-6n) sum_s C(2s,s)^3 C(2n-2s,n-s)^3, exact."""
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
-    return sum((_base(s) * _base(n - s) for s in range(n + 1)), Fraction(0))
+    return cp(2, n)
 
 
 @functools.lru_cache(maxsize=None)
 def cp(p: int, n: int) -> Fraction:
-    """c_p(n) for even p >= 2: convolution of c_{p-2} with c_2, memoized.
-
-    The lru caches fill idempotently, so concurrent readers are safe.
-    """
+    """c_p(n) for even p >= 2, the p-fold convolution power of C(2n,n)^3/64^n."""
     if p % 2 != 0 or p < 2:
         raise DomainError(f"p must be a positive even integer, got {p}")
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
-    if p == 2:
-        return c2(n)
-    return sum((cp(p - 2, s) * c2(n - s) for s in range(n + 1)), Fraction(0))
+    return Fraction(_scaled(p, n)[n], 64 ** n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -162,9 +171,9 @@ def build_series(nu: int, r, prec: int) -> SeriesSpec:
 def evaluate(spec: SeriesSpec, terms: int, prec: int | None = None) -> BigReal:
     """Partial sum of ``terms`` consecutive terms starting at spec.n_start.
 
-    Coefficients are exact; x^n and the bracket are accumulated at
-    prec + 64 working bits in fixed chunks with a deterministic reduction
-    order. Raises InsufficientPrecisionError when the truncation target
+    Each coefficient is rounded once from its exact integer N_p(n) and
+    scaled by 2^(-6n); x^n and the bracket are accumulated at prec + 64
+    working bits in fixed chunks with a fixed reduction order. Raises InsufficientPrecisionError when the truncation target
     (terms * dpt digits) cannot be represented at ``prec``.
     """
     if terms < 1:
@@ -178,7 +187,8 @@ def evaluate(spec: SeriesSpec, terms: int, prec: int | None = None) -> BigReal:
             f"{terms} terms promise ~{predicted:.0f} digits but prec={prec} bits "
             f"holds only ~{capacity}", required_bits=need)
     wprec = prec + 2 * GUARD + 48
-    p = 2 * spec.nu
+    last = spec.n_start + terms - 1
+    coeffs = _scaled(2 * spec.nu, last)
     with mp.workprec(wprec):
         xv = spec.x.value
         bvals = [b.value for b in spec.bracket]
@@ -187,11 +197,10 @@ def evaluate(spec: SeriesSpec, terms: int, prec: int | None = None) -> BigReal:
         xn = xv ** spec.n_start
         for i in range(terms):
             n = spec.n_start + i
-            c = cp(p, n)
             bn = mpmath.mpf(0)
             for b in reversed(bvals):
                 bn = bn * n + b
-            chunk += mpmath.mpf(c.numerator) / c.denominator * xn * bn
+            chunk += mpmath.ldexp(mpmath.mpf(coeffs[n]), -6 * n) * xn * bn
             xn *= xv
             if (i + 1) % _CHUNK == 0:
                 total += chunk

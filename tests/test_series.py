@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
@@ -10,9 +11,11 @@ from mpmath import mp
 from piforge import (BigReal, DomainError, InsufficientPrecisionError,
                      NonConvergentSeriesError, SeriesSpec, bracket_from_a,
                      build_series, c2, cp, evaluate, from_json,
-                     replay_published, stirling_first, to_json, verify)
+                     replay_published, series, stirling_first, to_json, verify)
+from piforge.bigreal import round_to
 from piforge.catalog import (PI4_R2, PI6_R2, PI6_R7, PUBLISHED_SERIES,
                              perturbed, published_by_label)
+from piforge.elliptic import GUARD
 
 from conftest import tol_bits
 
@@ -51,6 +54,56 @@ def test_cp_rejects_odd_p():
         cp(3, 1)
     with pytest.raises(DomainError):
         cp(4, -1)
+
+
+def _fraction_coefficients(p, count):
+    """Reference c_p(n), n < count: Fraction convolution of C(2n,n)^3/64^n."""
+    base = [Fraction(comb(2 * n, n) ** 3, 64 ** n) for n in range(count)]
+    c2_ref = [sum(base[s] * base[n - s] for s in range(n + 1)) for n in range(count)]
+    out = c2_ref
+    for _ in range(p // 2 - 1):
+        out = [sum(out[s] * c2_ref[n - s] for s in range(n + 1)) for n in range(count)]
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 4, 6])
+def test_integer_store_matches_fraction_convolution(p):
+    ref = _fraction_coefficients(p, 120)
+    scaled = series._scaled(p, 119)
+    assert all(scaled[n] == 64 ** n * ref[n] for n in range(120))
+    assert all(cp(p, n) == ref[n] for n in range(120))
+
+
+def test_evaluate_bit_identical_to_fraction_path():
+    # the former evaluate loop on Fraction coefficients: same chunks, same order
+    prec, terms = 2048, 120
+    spec = build_series(3, 7, prec)
+    coeffs = _fraction_coefficients(6, terms)
+    with mp.workprec(prec + 2 * GUARD + 48):
+        bvals = [b.value for b in spec.bracket]
+        total = chunk = mpmath.mpf(0)
+        xn = mpmath.mpf(1)
+        for n in range(terms):
+            bn = mpmath.mpf(0)
+            for b in reversed(bvals):
+                bn = bn * n + b
+            c = coeffs[n]
+            chunk += mpmath.mpf(c.numerator) / c.denominator * xn * bn
+            xn *= spec.x.value
+            if (n + 1) % 32 == 0:
+                total += chunk
+                chunk = mpmath.mpf(0)
+        total += chunk
+    assert evaluate(spec, terms, prec).value == round_to(total, prec).value
+
+
+def test_store_refills_after_clear():
+    spec = PI6_R7.to_spec(P)
+    before = (evaluate(spec, 40, P).value, [cp(6, n) for n in range(40)])
+    for clear in (cp.cache_clear, series._store.cache_clear):
+        clear()
+        assert evaluate(spec, 40, P).value == before[0]
+        assert [cp(6, n) for n in range(40)] == before[1]
 
 
 def test_c6_against_hypergeometric_oracle():
