@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -43,6 +44,8 @@ from .symbolic import solve_coefficients
 
 SCHEMA = "piforge/1"
 _CHUNK = 32
+# digits of terms past a partial sum that the tail majorant sums exactly
+_WINDOW_DIGITS = 24
 
 
 @functools.lru_cache(maxsize=None)
@@ -227,13 +230,59 @@ class VerificationReport:
     passed: bool
 
 
+def _log_tail_majorant(spec: SeriesSpec, n_stop: int) -> float:
+    """Natural log of a majorant of sum_{n >= n_stop} |c_p(n) x^n B(n)|, n_stop >= 1.
+
+    The window of terms that covers about _WINDOW_DIGITS digits past n_stop
+    is summed with the exact coefficients. Past it c_p(n) <= C(n+p-1, p-1),
+    as c_p is a p-fold convolution of C(2n,n)^3/64^n <= 1, and these bounded
+    terms u satisfy u(m+1)/u(m) <= rho(n) = |x| (n+p)/(n+1) ((n+1)/n)^p for
+    all m >= n, with rho falling towards |x|; from the first n where
+    rho(n) < (1+|x|)/2 the rest is summed as a geometric series. The sum is
+    taken in logs, relative to the largest |B_j|, so huge brackets stay finite.
+    """
+    p = 2 * spec.nu
+    with mp.workprec(64):
+        mags = [abs(b.value) for b in spec.bracket]
+        top = max(mags)
+        if top == 0:
+            return -math.inf
+        log_top = float(mpmath.log(top))
+        bs = [float(m / top) for m in mags]
+        log_x = float(mpmath.log(abs(spec.x.value)))
+
+    def log_term(n: int, log_c: float) -> float:
+        return log_c + n * log_x + math.log(sum(b * n ** j for j, b in enumerate(bs)))
+
+    # the window stops at twice n_stop, so that |x| near 1 cannot force a
+    # fill of coefficients far beyond the partial sum's own
+    window = min(int(_WINDOW_DIGITS * math.log(10) / -log_x) + 2, n_stop + 2)
+    end = n_stop + window
+    coeffs = _scaled(p, end - 1)
+    logs = [log_term(n, math.log(coeffs[n]) - 6 * n * math.log(2))
+            for n in range(n_stop, end)]
+    ax = math.exp(log_x)
+
+    def rho(n: int) -> float:
+        return ax * (n + p) / (n + 1) * ((n + 1) / n) ** p
+
+    n = end
+    while rho(n) >= (1 + ax) / 2:
+        logs.append(log_term(n, math.log(comb(n + p - 1, p - 1))))
+        n += 1
+    logs.append(log_term(n, math.log(comb(n + p - 1, p - 1))) - math.log(1 - rho(n)))
+    peak = max(logs)
+    return log_top + peak + math.log(sum(math.exp(v - peak) for v in logs))
+
+
 def verify(spec: SeriesSpec, terms: int, prec: int | None = None,
            target: BigReal | None = None) -> VerificationReport:
     """Evaluate and compare against the closed form.
 
     ``matched_digits`` counts agreeing significant digits,
-    -log10(|sum - target| / |target|). The pass rule is the predicted-digit
-    threshold: matched >= terms * dpt - 10.
+    -log10(|sum - target| / |target|). The sum passes when it matches at
+    least -log10(2 T / |target|) digits, T a majorant of the truncated tail
+    (``_log_tail_majorant``), capped 12 digits below what ``prec`` holds.
     """
     prec = spec.prec if prec is None else prec
     s = evaluate(spec, terms, prec)
@@ -244,14 +293,17 @@ def verify(spec: SeriesSpec, terms: int, prec: int | None = None,
             matched = float(decimal_digits(prec))
         else:
             matched = float(-mpmath.log(err / abs(t.value), 10))
+    with mp.workprec(64):
+        log_target = float(mpmath.log(abs(t.value)))
+    tail = _log_tail_majorant(spec, spec.n_start + terms)
+    threshold = min((log_target - tail - math.log(2)) / math.log(10),
+                    decimal_digits(prec) - 12)
     d = spec.dpt()
-    predicted = terms * d
-    threshold = predicted - 10
     return VerificationReport(
         label=spec.label or f"nu={spec.nu} r={spec.r}",
         nu=spec.nu, r=spec.r, terms=terms,
         partial_sum=s, target=t, abs_error=round_to(err, prec),
-        matched_digits=matched, predicted_digits=predicted, dpt=d,
+        matched_digits=matched, predicted_digits=terms * d, dpt=d,
         threshold_digits=threshold, passed=matched >= threshold,
     )
 

@@ -66,11 +66,23 @@ def test_series_emit_round_trip(tmp_path, capsys):
     assert spec.nu == 2 and str(spec.r) == "3"
 
 
-def test_series_verify_failure_exit_code(capsys):
-    # 70 terms of the r=7 series promise 126 digits but deliver ~116: the
-    # predicted-digits-10 rule fails deterministically and exits 1
+def test_series_verify_passes_where_the_tail_bound_holds(capsys):
+    # 70 terms of the r=7 series promise 126 digits but the polynomial growth
+    # of the terms leaves ~116; the tail majorant accounts for that
     code, out, _ = run(capsys, ["--prec", "512", "series", "--nu", "3",
                                 "--r", "7", "--terms", "70"])
+    assert code == 0
+    assert "PASS" in out
+
+
+def test_series_verify_failure_exit_code(capsys, monkeypatch):
+    # a genuinely wrong sum: one published bracket integer bumped by 2
+    from piforge import catalog, series
+
+    monkeypatch.setattr(series, "build_series",
+                        lambda nu, r, prec: catalog.perturbed(catalog.PI6_R7, 2).to_spec(512))
+    code, out, _ = run(capsys, ["--prec", "512", "series", "--nu", "3",
+                                "--r", "7", "--terms", "40"])
     assert code == 1
     assert "FAIL" in out
 
@@ -121,3 +133,4 @@ def test_env_var_ignored_when_flag_given(capsys, monkeypatch):
     monkeypatch.setenv("PIFORGE_PREC_BITS", "192")
     code, out, _ = run(capsys, ["--prec", "256", "modulus", "1"])
     assert code == 0
+

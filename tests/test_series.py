@@ -1,18 +1,21 @@
 """Coefficients, brackets, series construction, evaluation, replay, JSON."""
 
 import json
+import math
 from fractions import Fraction
 from math import comb
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from piforge import (BigReal, DomainError, InsufficientPrecisionError,
                      NonConvergentSeriesError, SeriesSpec, bracket_from_a,
                      build_series, c2, cp, evaluate, from_json,
                      replay_published, series, stirling_first, to_json, verify)
-from piforge.bigreal import round_to
+from piforge.bigreal import decimal_digits, round_to
 from piforge.catalog import (PI4_R2, PI6_R2, PI6_R7, PUBLISHED_SERIES,
                              perturbed, published_by_label)
 from piforge.elliptic import GUARD
@@ -246,6 +249,23 @@ def test_verify_against_independent_pi():
     rep = verify(spec, 40, 512, target=target)
     assert rep.passed
     assert rep.matched_digits > 60
+
+
+# r = 3 is left out: its nu = 1 solve is degenerate (a singular 2x2 system)
+PROPERTY_POOL = (2, Fraction(7, 2), 4, Fraction(9, 2), 5, 6, Fraction(13, 2), 7,
+                 Fraction(15, 2), 10, 14, Fraction(29, 2), 15)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(r=st.sampled_from(PROPERTY_POOL), nu=st.integers(1, 3),
+       prec=st.integers(256, 1024), share=st.floats(0.05, 1.0))
+def test_correct_series_pass_under_tail_majorant(r, nu, prec, share):
+    spec = build_series(nu, r, prec)
+    # the CLI's term choice, scaled by share
+    terms = max(1, int(share * min(400, (decimal_digits(prec) - 24) / spec.dpt())))
+    rep = verify(spec, terms, prec)
+    assert math.isfinite(rep.threshold_digits)
+    assert rep.passed, f"{rep.matched_digits:.2f} vs {rep.threshold_digits:.2f}"
 
 
 # --------------------------------------------------------- published replay
