@@ -2,7 +2,8 @@
 
 Subcommands: ``modulus``, ``alpha``, ``series``, ``verify``. Every command
 accepts ``--prec`` (bits, default 512, overridable through the environment
-variable PIFORGE_PREC_BITS) and ``--format text|json``. JSON output is
+variable PIFORGE_PREC_BITS, which must then be a whole number) and
+``--format text|json``. JSON output is
 deterministic: keys sorted, decimals rendered at a precision-derived digit
 count, no timestamps, so identical invocations are byte-identical.
 
@@ -27,7 +28,8 @@ from .alpha import (ROUTE_25R, ROUTE_4R, ROUTE_9R, ROUTE_DIRECT, alpha_25r,
                     alpha_4r, alpha_9r, alpha_direct)
 from .bigreal import BigReal, as_fraction, decimal_digits
 from .elliptic import GUARD, singular_modulus
-from .errors import DomainError, InsufficientPrecisionError, PiforgeError
+from .errors import (DomainError, InsufficientPrecisionError, PiforgeError,
+                     VerificationError)
 
 DEFAULT_PREC = 512
 
@@ -39,12 +41,13 @@ EXIT_PRECISION = 3
 
 def _default_prec() -> int:
     env = os.environ.get("PIFORGE_PREC_BITS")
-    if env:
-        try:
-            return max(64, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_PREC
+    if not env:
+        return DEFAULT_PREC
+    try:
+        return int(env)
+    except ValueError:
+        raise DomainError(f"PIFORGE_PREC_BITS must be a whole number of bits, "
+                          f"got {env!r}") from None
 
 
 def _fmt(x, prec: int) -> str:
@@ -285,19 +288,20 @@ _ROUTE_ALIASES = {"4r": ROUTE_4R, "9r": ROUTE_9R, "25r": ROUTE_25R,
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "route", None) is not None:
-        args.route = _ROUTE_ALIASES[args.route]
-    if args.prec < 64:
-        print("error: --prec must be >= 64", file=sys.stderr)
-        return EXIT_DOMAIN
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "route", None) is not None:
+            args.route = _ROUTE_ALIASES[args.route]
+        if args.prec < 64:
+            raise DomainError(f"precision must be >= 64 bits, got {args.prec}")
         return args.fn(args)
     except InsufficientPrecisionError as exc:
         print(f"error: insufficient precision: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except (DomainError, PiforgeError) as exc:
+    except VerificationError as exc:
+        print(f"error: verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
+    except PiforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

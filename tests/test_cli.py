@@ -99,6 +99,18 @@ def test_precision_error_exit_code(capsys):
     assert "insufficient precision" in err
 
 
+def test_verification_error_exit_code(capsys, monkeypatch):
+    from piforge import VerificationError, series
+
+    def inconsistent(nu, r, prec):
+        raise VerificationError("coefficient solve residual exceeds its bound")
+
+    monkeypatch.setattr(series, "build_series", inconsistent)
+    code, _, err = run(capsys, PREC + ["series", "--nu", "1", "--r", "5"])
+    assert code == 1
+    assert "verification failed" in err
+
+
 def test_bad_rational_exit_code(capsys):
     code, _, err = run(capsys, PREC + ["alpha", "2.5.1"])
     assert code == 2
@@ -134,3 +146,9 @@ def test_env_var_ignored_when_flag_given(capsys, monkeypatch):
     code, out, _ = run(capsys, ["--prec", "256", "modulus", "1"])
     assert code == 0
 
+
+def test_malformed_env_precision_rejected(capsys, monkeypatch):
+    monkeypatch.setenv("PIFORGE_PREC_BITS", "512bits")
+    code, _, err = run(capsys, ["modulus", "1"])
+    assert code == 2
+    assert "PIFORGE_PREC_BITS" in err
