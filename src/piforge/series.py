@@ -176,8 +176,9 @@ def evaluate(spec: SeriesSpec, terms: int, prec: int | None = None) -> BigReal:
 
     Each coefficient is rounded once from its exact integer N_p(n) and
     scaled by 2^(-6n); x^n and the bracket are accumulated at prec + 64
-    working bits in fixed chunks with a fixed reduction order. Raises InsufficientPrecisionError when the truncation target
-    (terms * dpt digits) cannot be represented at ``prec``.
+    working bits in fixed chunks with a fixed reduction order. Raises
+    InsufficientPrecisionError when the truncation target (terms * dpt
+    digits) cannot be represented at ``prec``.
     """
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
@@ -190,8 +191,7 @@ def evaluate(spec: SeriesSpec, terms: int, prec: int | None = None) -> BigReal:
             f"{terms} terms promise ~{predicted:.0f} digits but prec={prec} bits "
             f"holds only ~{capacity}", required_bits=need)
     wprec = prec + 2 * GUARD + 48
-    last = spec.n_start + terms - 1
-    coeffs = _scaled(2 * spec.nu, last)
+    coeffs = _scaled(2 * spec.nu, spec.n_start + terms - 1)
     with mp.workprec(wprec):
         xv = spec.x.value
         bvals = [b.value for b in spec.bracket]
@@ -233,44 +233,40 @@ class VerificationReport:
 def _log_tail_majorant(spec: SeriesSpec, n_stop: int) -> float:
     """Natural log of a majorant of sum_{n >= n_stop} |c_p(n) x^n B(n)|, n_stop >= 1.
 
-    The window of terms that covers about _WINDOW_DIGITS digits past n_stop
-    is summed with the exact coefficients. Past it c_p(n) <= C(n+p-1, p-1),
-    as c_p is a p-fold convolution of C(2n,n)^3/64^n <= 1, and these bounded
-    terms u satisfy u(m+1)/u(m) <= rho(n) = |x| (n+p)/(n+1) ((n+1)/n)^p for
-    all m >= n, with rho falling towards |x|; from the first n where
-    rho(n) < (1+|x|)/2 the rest is summed as a geometric series. The sum is
-    taken in logs, relative to the largest |B_j|, so huge brackets stay finite.
+    The terms n_stop <= n < m, about _WINDOW_DIGITS digits' worth, are summed
+    with the exact coefficients. For the rest, c_p(n) <= C(n+p-1, p-1), as
+    c_p is a p-fold convolution of C(2n,n)^3/64^n <= 1;
+    n^j C(n+p-1, p-1) <= (p)_j C(n+q-1, q-1) with q = p+j and (p)_j the
+    rising factorial; and sum_{n>=m} C(n+q-1, q-1) y^n <= C(m+q-1, q-1)
+    y^m (1-y)^-q. So the terms past the window add at most
+
+        |x|^m sum_j |B_j| (p)_j C(m+p+j-1, p+j-1) (1-|x|)^-(p+j).
+
+    The sum is taken in logs, relative to the largest |B_j|, so that huge
+    brackets and |x| close to 1 stay finite.
     """
     p = 2 * spec.nu
+    with mp.workprec(spec.x.prec):
+        gap = 1 - abs(spec.x.value)
     with mp.workprec(64):
         mags = [abs(b.value) for b in spec.bracket]
         top = max(mags)
         if top == 0:
             return -math.inf
         log_top = float(mpmath.log(top))
-        bs = [float(m / top) for m in mags]
-        log_x = float(mpmath.log(abs(spec.x.value)))
-
-    def log_term(n: int, log_c: float) -> float:
-        return log_c + n * log_x + math.log(sum(b * n ** j for j, b in enumerate(bs)))
-
-    # the window stops at twice n_stop, so that |x| near 1 cannot force a
+        bs = [float(v / top) for v in mags]
+        log_x = float(mpmath.log1p(-gap))
+        log_gap = float(mpmath.log(gap))
+    # the window ends by 2 n_stop + 2, so that |x| near 1 cannot force a
     # fill of coefficients far beyond the partial sum's own
-    window = min(int(_WINDOW_DIGITS * math.log(10) / -log_x) + 2, n_stop + 2)
-    end = n_stop + window
-    coeffs = _scaled(p, end - 1)
-    logs = [log_term(n, math.log(coeffs[n]) - 6 * n * math.log(2))
-            for n in range(n_stop, end)]
-    ax = math.exp(log_x)
-
-    def rho(n: int) -> float:
-        return ax * (n + p) / (n + 1) * ((n + 1) / n) ** p
-
-    n = end
-    while rho(n) >= (1 + ax) / 2:
-        logs.append(log_term(n, math.log(comb(n + p - 1, p - 1))))
-        n += 1
-    logs.append(log_term(n, math.log(comb(n + p - 1, p - 1))) - math.log(1 - rho(n)))
+    m = n_stop + min(int(_WINDOW_DIGITS * math.log(10) / -log_x) + 2, n_stop + 2)
+    coeffs = _scaled(p, m - 1)
+    logs = [math.log(coeffs[n]) - 6 * n * math.log(2) + n * log_x
+            + math.log(sum(b * n ** j for j, b in enumerate(bs)))
+            for n in range(n_stop, m)]
+    logs += [math.log(b) + math.log(math.perm(p + j - 1, j))
+             + math.log(comb(m + p + j - 1, p + j - 1)) + m * log_x - (p + j) * log_gap
+             for j, b in enumerate(bs) if b > 0]
     peak = max(logs)
     return log_top + peak + math.log(sum(math.exp(v - peak) for v in logs))
 

@@ -268,6 +268,16 @@ def test_correct_series_pass_under_tail_majorant(r, nu, prec, share):
     assert rep.passed, f"{rep.matched_digits:.2f} vs {rep.threshold_digits:.2f}"
 
 
+def test_tail_majorant_finite_for_argument_near_one():
+    # |x| = 1 - 2^-100 rounds to 1 at 64 bits; a stepped ratio bound would
+    # never reach its geometric regime there
+    spec = PI4_R2.to_spec(P)
+    x = BigReal.of(1, P) - BigReal.of(2, P) ** -100
+    near = SeriesSpec(nu=2, r=spec.r, x=x, bracket=spec.bracket, g=spec.g, prec=P)
+    rep = verify(near, 5, P)
+    assert math.isfinite(rep.threshold_digits)
+
+
 # --------------------------------------------------------- published replay
 
 
