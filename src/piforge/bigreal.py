@@ -22,8 +22,6 @@ from mpmath import mp
 
 MIN_PREC = 64
 
-_Number = "BigReal | int | Fraction"
-
 
 def as_fraction(r) -> Fraction:
     """Coerce ``r`` (int, Fraction, or 'p/q' string) to an exact Fraction."""

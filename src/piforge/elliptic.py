@@ -294,6 +294,3 @@ def dk_dk(ctx: ModulusContext) -> BigReal:
         v = ctx.big_e.value / (kv * (1 - kv * kv)) - ctx.big_k.value / kv
     return round_to(v, ctx.prec)
 
-
-# Backwards-friendly alias matching the operation's usual typography.
-dK_dk = dk_dk

@@ -139,7 +139,7 @@ class SeriesSpec:
         if len(self.bracket) != 2 * self.nu + 1:
             raise DomainError(
                 f"bracket needs {2 * self.nu + 1} coefficients, got {len(self.bracket)}")
-        if abs(self.x.value) >= 1:
+        if not -1 < self.x.value < 1:     # exact: comparisons with ints do not round
             raise NonConvergentSeriesError(
                 f"series argument |x| = {mpmath.nstr(abs(self.x.value), 8)} >= 1")
 
@@ -161,7 +161,7 @@ def build_series(nu: int, r, prec: int) -> SeriesSpec:
     rf = as_fraction(r)
     ctx = singular_modulus(rf, prec + 2 * GUARD)
     x = ctx.series_argument()
-    if abs(x.value) >= 1:
+    if not -1 < x.value < 1:
         raise NonConvergentSeriesError(
             f"series argument x = {mpmath.nstr(x.value, 8)} at r={rf} does not converge")
     sol = solve_coefficients(nu, rf, prec)

@@ -2,281 +2,143 @@
 
 The generating function of the degree-p coefficient sequence c_p(n) is
 F(z) = phi(z)^p with phi(z) = sum C(2n,n)^3 (z/64)^n and p = 2*nu. Under
-z = 4 k^2 (1-k^2) (equivalently k^2 = (1 - sqrt(1-z))/2) one has
-phi(z) = (2/pi)^2 K(k)^2, so F = (2/pi)^(2p) K(k)^(2p) and every z-derivative
-of F is a polynomial in the formal symbols K, E with exact rational-function
-coefficients in k:
+z = 4u(1-u) with u = k^2 (equivalently u = (1 - sqrt(1-z))/2) one has
+phi(z) = (2/pi)^2 K(k)^2, so F = (2/pi)^(2p) K^(2p) and every z-derivative
+of F is a polynomial in the formal symbols K, E whose coefficients are
+rational functions of u. The classical rules (Borwein & Borwein, Pi and the
+AGM, 1987, ch. 1)
 
-    dK/dk = E/(k(1-k^2)) - K/k,      dE/dk = (E - K)/k,
-    d/dz  = (dz/dk)^(-1) d/dk,       dz/dk = 8k(1 - 2k^2).
+    dK/du = (E - (1-u) K) / (2u(1-u)),     dE/du = (E - K) / (2u),
+    d/dz  = (d/du) / (4(1 - 2u))
 
-Differentiation preserves the total (K,E)-degree 2p.
+keep the total (K,E)-degree, and they give every stack level one common
+denominator: (d/dz)^m K^(4nu) = P_m / (u^m (1-u)^m (1-2u)^(2m) 2^(3m)) with
+P_0 = K^(4nu) and
 
-KEPoly carries that representation exactly (no rounding anywhere in the
-derivative stack). Substituting the alpha relation
+    P_{m+1} = (1-2u) D(P_m) - 2m (1 - 8u + 8u^2) P_m,    D = 2u(1-u) d/du,
+
+where D maps polynomials in K, E over Z[u] to themselves. The factor
+z^m = 4^m u^m (1-u)^m cancels the u and 1-u powers, so
+
+    z^m F^(m)(z) = (2/pi)^(4nu) P_m / (2^m (1-2u)^(2m)).
+
+KEPoly carries P_m as lists of Python ints in u over that one shared
+denominator: no fraction, gcd or reduction anywhere in the stack. Substituting
+the alpha relation
 
     E = K (1 - a(r)/sqrt(r)) + pi/(4 K sqrt(r))
 
-at k = k_r turns each z^m F^(m)(z) into a Laurent polynomial in K with even
+at u = k_r^2 turns each z^m F^(m)(z) into a Laurent polynomial in K with even
 exponents 0..2p and numeric coefficients (pi folded in); requiring every
 positive K-power of sum A_m z^m F^(m) to vanish with A_0 = 1 yields a square
 linear system of size 2*nu for A_1..A_{2nu}, and the surviving K^0 term is
-g/pi^(2nu) after restoring the (2/pi)^(2p) prefactor. The solver reports the
-residual of the eliminated coefficients and fails loudly on rank defects.
+g/pi^(2nu) after restoring the (2/pi)^(2p) prefactor. The solver rejects a
+system whose rows are dependent to working precision, and reports the
+residual of the eliminated coefficients.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Rational
 
 import mpmath
 from mpmath import mp
 
 from .alpha import AlphaValue, alpha_from_context
 from .bigreal import BigReal, as_fraction, pi_bits, round_to
-from .elliptic import GUARD, ModulusContext, singular_modulus
+from .elliptic import GUARD, ModulusContext, ell_e, ell_k, singular_modulus
 from .errors import DegenerateSystemError, DomainError, VerificationError
 
 # ---------------------------------------------------------------------------
-# exact univariate polynomials over Q (little-endian coefficient tuples)
+# integer polynomials in u (little-endian coefficient tuples)
 # ---------------------------------------------------------------------------
 
 
-def _trim(cs):
+def _trim(cs) -> tuple:
     cs = list(cs)
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
 
 
-class Poly:
-    """Immutable univariate polynomial in the formal modulus symbol over Q."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        if isinstance(coeffs, (int, Fraction)):
-            coeffs = (coeffs,)
-        self.coeffs = _trim(Fraction(c) for c in coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, o):
-        a, b = self.coeffs, o.coeffs
-        n = max(len(a), len(b))
-        return Poly(tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                          for i in range(n)))
-
-    def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __mul__(self, o):
-        if isinstance(o, (int, Fraction)):
-            return Poly(tuple(c * o for c in self.coeffs))
-        a, b = self.coeffs, o.coeffs
-        if not a or not b:
-            return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return Poly(tuple(out))
-
-    def deriv(self) -> "Poly":
-        return Poly(tuple(c * i for i, c in enumerate(self.coeffs) if i))
-
-    def divmod(self, o: "Poly"):
-        if o.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(1, len(rem) - len(o.coeffs) + 1)
-        ob = o.coeffs
-        while len(rem) >= len(ob) and rem:
-            s = rem[-1] / ob[-1]
-            d = len(rem) - len(ob)
-            q[d] += s
-            for i, c in enumerate(ob):
-                rem[d + i] -= s * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(tuple(q)), Poly(tuple(rem))
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return Poly(tuple(c / lead for c in self.coeffs))
-
-    def gcd(self, o: "Poly") -> "Poly":
-        a, b = self, o
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
-
-    def eval_exact(self, x: Fraction) -> Fraction:
-        v = Fraction(0)
-        for c in reversed(self.coeffs):
-            v = v * x + c
-        return v
-
-    def eval_mpf(self, x: mpmath.mpf) -> mpmath.mpf:
-        v = mpmath.mpf(0)
-        for c in reversed(self.coeffs):
-            v = v * x + mpmath.mpf(c.numerator) / c.denominator
-        return v
-
-    def __eq__(self, o):
-        return isinstance(o, Poly) and self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"Poly{self.coeffs}"
+def _padd(a, b) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
 
 
-@dataclass(frozen=True)
-class RatFunc:
-    """Reduced rational function num/den over Q[k]; den monic and nonzero.
-
-    Reduction divides out the gcd and rescales the denominator to be monic,
-    which makes structural equality an exact equality test.
-    """
-
-    num: Poly
-    den: Poly
-
-    @staticmethod
-    def of(num, den=None) -> "RatFunc":
-        n = num if isinstance(num, Poly) else Poly(num)
-        d = den if isinstance(den, Poly) else Poly(1 if den is None else den)
-        if d.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if n.is_zero():
-            return RatFunc(Poly(), Poly(1))
-        g = n.gcd(d)
-        if g.degree > 0:
-            n = n.divmod(g)[0]
-            d = d.divmod(g)[0]
-        lead = d.coeffs[-1]
-        if lead != 1:
-            n = n * (Fraction(1) / lead)
-            d = d * (Fraction(1) / lead)
-        return RatFunc(n, d)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, o):
-        return RatFunc.of(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def __sub__(self, o):
-        return RatFunc.of(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __mul__(self, o):
-        if isinstance(o, (int, Fraction)):
-            return RatFunc.of(self.num * o, self.den)
-        return RatFunc.of(self.num * o.num, self.den * o.den)
-
-    def __truediv__(self, o):
-        if o.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc.of(self.num * o.den, self.den * o.num)
-
-    def deriv(self) -> "RatFunc":
-        return RatFunc.of(self.num.deriv() * self.den - self.num * self.den.deriv(),
-                          self.den * self.den)
-
-    def eval_mpf(self, x: mpmath.mpf) -> mpmath.mpf:
-        dv = self.den.eval_mpf(x)
-        if dv == 0:
-            raise ZeroDivisionError("rational-function pole at the evaluation point")
-        return self.num.eval_mpf(x) / dv
+def _pmul(a, b) -> tuple:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
 
 
-RF_ZERO = RatFunc.of(0)
-RF_ONE = RatFunc.of(1)
-
-# derivative tables: dK = DK_E*E + DK_K*K, dE = DE_E*E + DE_K*K
-_DK_E = RatFunc.of(Poly((1,)), Poly((0, 1, 0, -1)))   # 1/(k - k^3)
-_DK_K = RatFunc.of(Poly((-1,)), Poly((0, 1)))         # -1/k
-_DE_E = RatFunc.of(Poly((1,)), Poly((0, 1)))          # 1/k
-_DE_K = RatFunc.of(Poly((-1,)), Poly((0, 1)))         # -1/k
-
-# z = 4k^2 - 4k^4 and dz/dk = 8k - 16k^3 as exact objects
-_Z = RatFunc.of(Poly((0, 0, 4, 0, -4)))
-_DZ = RatFunc.of(Poly((0, 8, 0, -16)))
+def _horner(cs, x):
+    v = mpmath.mpf(0)
+    for c in reversed(cs):
+        v = v * x + c
+    return v
 
 
 class KEPoly:
-    """Polynomial in the commuting formal symbols K, E over RatFunc coefficients.
+    """Polynomial in the commuting formal symbols K, E over Z[u], divided by
+    one shared denominator in Z[u].
 
-    Stored as a map (i, j) -> coefficient of K^i E^j with zero entries pruned.
+    ``terms`` maps (i, j) to the integer coefficients, little-endian in
+    u = k^2, of K^i E^j (zero entries pruned); ``den`` holds the
+    denominator's coefficients. Nothing is ever reduced, so equality is
+    structural.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms: dict | None = None):
-        self.terms = {key: c for key, c in (terms or {}).items() if not c.is_zero()}
+    def __init__(self, terms: dict | None = None, den=(1,)):
+        self.terms = {key: c for key, c in ((key, _trim(c)) for key, c in (terms or {}).items())
+                      if c}
+        self.den = _trim(den)
+        if not self.den:
+            raise ZeroDivisionError("KEPoly with zero denominator")
 
     @staticmethod
-    def monomial(i: int, j: int, coeff: RatFunc = RF_ONE) -> "KEPoly":
+    def monomial(i: int, j: int, coeff=(1,)) -> "KEPoly":
         if i < 0 or j < 0:
             raise ValueError("exponents must be nonnegative")
         return KEPoly({(i, j): coeff})
 
-    @staticmethod
-    def symbol_k() -> "KEPoly":
-        return KEPoly.monomial(1, 0)
-
-    @staticmethod
-    def symbol_e() -> "KEPoly":
-        return KEPoly.monomial(0, 1)
-
-    def _acc(self, out, key, rf):
-        if rf.is_zero():
-            return
-        if key in out:
-            s = out[key] + rf
-            if s.is_zero():
-                del out[key]
-            else:
-                out[key] = s
-        else:
-            out[key] = rf
+    def _scaled(self, poly) -> dict:
+        return {key: _pmul(c, poly) for key, c in self.terms.items()}
 
     def __add__(self, o: "KEPoly") -> "KEPoly":
-        out = dict(self.terms)
-        for key, c in o.terms.items():
-            self._acc(out, key, c)
-        return KEPoly(out)
+        if self.den == o.den:
+            a, b, den = self.terms, o.terms, self.den
+        else:
+            a, b, den = self._scaled(o.den), o._scaled(self.den), _pmul(self.den, o.den)
+        out = dict(a)
+        for key, c in b.items():
+            out[key] = _padd(out.get(key, ()), c)
+        return KEPoly(out, den)
+
+    def __neg__(self) -> "KEPoly":
+        return KEPoly({key: tuple(-x for x in c) for key, c in self.terms.items()}, self.den)
 
     def __sub__(self, o: "KEPoly") -> "KEPoly":
-        out = dict(self.terms)
-        for key, c in o.terms.items():
-            self._acc(out, key, c * Fraction(-1))
-        return KEPoly(out)
+        return self + (-o)
 
     def __mul__(self, o):
-        if isinstance(o, (int, Fraction)):
-            o = RatFunc.of(Poly((Fraction(o),)))
-        if isinstance(o, RatFunc):
-            return KEPoly({key: c * o for key, c in self.terms.items()})
+        if isinstance(o, int):
+            return KEPoly(self._scaled((o,)), self.den)
         out: dict = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in o.terms.items():
-                self._acc(out, (i1 + i2, j1 + j2), c1 * c2)
-        return KEPoly(out)
+                key = (i1 + i2, j1 + j2)
+                out[key] = _padd(out.get(key, ()), _pmul(c1, c2))
+        return KEPoly(out, _pmul(self.den, o.den))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -285,68 +147,79 @@ class KEPoly:
         return {i + j for (i, j) in self.terms}
 
     def eval_numeric(self, ctx: ModulusContext, prec: int | None = None) -> BigReal:
-        """Numeric value with K, E, k taken from the context."""
+        """Numeric value with k, K, E taken from the context."""
         prec = ctx.prec if prec is None else prec
-        return self._eval_triplet(ctx.k.value, ctx.big_k.value, ctx.big_e.value, prec)
+        with mp.workprec(prec + GUARD):
+            uv = ctx.k.value ** 2
+        return self._eval(uv, ctx.big_k.value, ctx.big_e.value, prec)
 
-    def eval_at_modulus(self, k, prec: int) -> BigReal:
-        """Numeric value at an arbitrary modulus k in (0,1) (K, E computed)."""
-        from .elliptic import ell_e, ell_k
+    def eval_at_u(self, u, prec: int) -> BigReal:
+        """Numeric value at an arbitrary u = k^2 in (0,1) (K, E computed)."""
+        ub = u if isinstance(u, BigReal) else BigReal.of(u, prec + GUARD)
+        kb = ub.sqrt()
+        return self._eval(ub.value, ell_k(kb, prec + GUARD).value,
+                          ell_e(kb, prec + GUARD).value, prec)
 
-        kb = k if isinstance(k, BigReal) else BigReal.of(k, prec + GUARD)
-        Kv = ell_k(kb, prec + GUARD)
-        Ev = ell_e(kb, prec + GUARD)
-        return self._eval_triplet(kb.value, Kv.value, Ev.value, prec)
-
-    def _eval_triplet(self, kv, Kv, Ev, prec: int) -> BigReal:
+    def _eval(self, uv, Kv, Ev, prec: int) -> BigReal:
         with mp.workprec(prec + GUARD):
             v = mpmath.mpf(0)
             for (i, j), c in self.terms.items():
-                v += c.eval_mpf(kv) * Kv ** i * Ev ** j
+                v += _horner(c, uv) * Kv ** i * Ev ** j
+            v /= _horner(self.den, uv)
         return round_to(v, prec)
 
     def __eq__(self, o):
-        return isinstance(o, KEPoly) and self.terms == o.terms
+        return isinstance(o, KEPoly) and (self.terms, self.den) == (o.terms, o.den)
 
     def __repr__(self):
-        body = " + ".join(f"[{c!r}] K^{i} E^{j}" for (i, j), c in sorted(self.terms.items()))
-        return f"KEPoly({body or '0'})"
+        body = " + ".join(f"{c} K^{i} E^{j}" for (i, j), c in sorted(self.terms.items()))
+        return f"KEPoly(({body or '0'}) / {self.den})"
 
 
-def diff_k(p: KEPoly) -> KEPoly:
-    """Exact d/dk on a KEPoly; linear, obeys the product rule, and keeps
-    the total (K,E)-degree of every term."""
+def diff_u(p: KEPoly) -> KEPoly:
+    """D(p) = 2u(1-u) dp/du for p over Z[u] (denominator 1).
+
+    The factor 2u(1-u) clears the denominators of the dK/du and dE/du rules,
+    so D(p) is again over Z[u]. D is linear, obeys the product rule and
+    keeps the total (K,E)-degree of every term.
+    """
+    if p.den != (1,):
+        raise ValueError("diff_u takes a KEPoly with denominator 1")
     out: dict = {}
-    acc = p._acc
+
+    def acc(key, c):
+        out[key] = _padd(out.get(key, ()), c)
+
     for (i, j), c in p.terms.items():
-        acc(out, (i, j), c.deriv())
+        dc = tuple(x * n for n, x in enumerate(c) if n)
+        acc((i, j), _padd(_pmul((0, 2, -2), dc), _pmul(((j - i), (i - j)), c)))
         if i:
-            ci = c * Fraction(i)
-            acc(out, (i - 1, j + 1), ci * _DK_E)
-            acc(out, (i, j), ci * _DK_K)
+            acc((i - 1, j + 1), tuple(i * x for x in c))
         if j:
-            cj = c * Fraction(j)
-            acc(out, (i, j), cj * _DE_E)
-            acc(out, (i + 1, j - 1), cj * _DE_K)
+            acc((i + 1, j - 1), _pmul((-j, j), c))
     return KEPoly(out)
+
+
+_ONE_MINUS_2U = KEPoly.monomial(0, 0, (1, -2))
 
 
 @functools.lru_cache(maxsize=None)
 def derivative_stack(nu: int) -> tuple[KEPoly, ...]:
     """[z^m (d/dz)^m K^(4nu)] for m = 0..2nu, exact.
 
-    The physical object is (2/pi)^(4nu) times each entry; the prefactor is
-    constant under d/dz, so it is reattached only when g is extracted.
+    Entry m is P_m / (2^m (1-2u)^(2m)) (module docstring). The physical
+    object is (2/pi)^(4nu) times each entry; the prefactor is constant under
+    d/dz, so it is reattached only when g is extracted.
     """
     if nu < 1:
         raise DomainError(f"nu must be a positive integer, got {nu}")
-    stack = [KEPoly.monomial(4 * nu, 0)]
-    f_m = stack[0]
-    z_pow = RF_ONE
-    for _ in range(2 * nu):
-        f_m = diff_k(f_m) * (RF_ONE / _DZ)
-        z_pow = z_pow * _Z
-        stack.append(f_m * z_pow)
+    p = KEPoly.monomial(4 * nu, 0)
+    den = (1,)
+    stack = [p]
+    for m in range(2 * nu):
+        p = diff_u(p) * _ONE_MINUS_2U - p * KEPoly.monomial(0, 0, (2 * m, -16 * m, 16 * m))
+        den = _pmul(den, (2, -8, 8))
+        stack.append(KEPoly(p.terms, den))
     return tuple(stack)
 
 
@@ -355,16 +228,14 @@ class LaurentK:
     """Numeric Laurent polynomial in K.
 
     ``entries`` maps the K-exponent to its BigReal coefficient (powers of pi
-    arising from substitution are folded into the coefficients);
-    ``pi_power`` tracks a globally factored-out power of pi. Exponents share
-    the parity of the substituted polynomial's homogeneous degree; the
+    arising from substitution are folded into the coefficients). Exponents
+    share the parity of the substituted polynomial's homogeneous degree; the
     solver's inputs have even degree 4nu, so there they are even and lie in
     0..4nu.
     """
 
     entries: dict
     prec: int
-    pi_power: int = 0
 
     def coefficient(self, e: int) -> BigReal:
         return self.entries.get(e, BigReal.of(0, self.prec))
@@ -374,36 +245,45 @@ class LaurentK:
             v = mpmath.mpf(0)
             for e, c in self.entries.items():
                 v += c.value * big_k.value ** e
-            if self.pi_power:
-                v *= pi_bits(self.prec + GUARD) ** self.pi_power
         return round_to(v, self.prec)
 
 
 def substitute_alpha(p: KEPoly, ctx: ModulusContext, a: AlphaValue) -> LaurentK:
     """Replace every E by K (1 - a/sqrt(r)) + pi/(4 K sqrt(r)) and evaluate
-    the rational-function coefficients at k = k_r.
+    the coefficients at u = k_r^2.
 
-    For a homogeneous input of (K,E)-degree d the result has exponents of
-    the same parity as d, collected with pi-powers folded in.
+    Each numerator is evaluated by Horner at u, taken once at the working
+    precision; every collected entry is then divided by the one shared
+    denominator. For a homogeneous input of (K,E)-degree d the result has
+    exponents of the same parity as d, collected with pi-powers folded in.
     """
     if ctx.r != a.r:
         raise DomainError(f"context is at r={ctx.r} but alpha at r={a.r}")
     prec = min(ctx.prec, a.prec)
     wprec = prec + 2 * GUARD
     with mp.workprec(wprec):
-        kv = ctx.k.value
+        uv = ctx.k.value ** 2
         sr = ctx.sqrt_r().value
         lam = 1 - a.value.value / sr          # coefficient of K in E
         mu = pi_bits(wprec) / (4 * sr)        # coefficient of 1/K in E
         out: dict = {}
         for (i, j), c in p.terms.items():
-            cv = c.eval_mpf(kv)
+            cv = _horner(c, uv)
             for t in range(j + 1):
                 e = i + j - 2 * t
                 val = cv * mpmath.binomial(j, t) * lam ** (j - t) * mu ** t
                 out[e] = out.get(e, mpmath.mpf(0)) + val
-    entries = {e: round_to(v, prec) for e, v in out.items() if v != 0}
+        den = _horner(p.den, uv)
+        entries = {e: round_to(v / den, prec) for e, v in out.items() if v != 0}
     return LaurentK(entries=entries, prec=prec)
+
+
+def _rcond(M) -> mpmath.mpf:
+    """Reciprocal 1-norm condition number of a square matrix (0 if LU finds it singular)."""
+    try:
+        return 1 / (mpmath.mnorm(M, 1) * mpmath.mnorm(mpmath.inverse(M), 1))
+    except ZeroDivisionError:
+        return mpmath.mpf(0)
 
 
 @dataclass(frozen=True)
@@ -416,7 +296,7 @@ class CoefficientSolution:
     """
 
     nu: int
-    r: Fraction
+    r: Rational
     a_coeffs: tuple
     g: BigReal
     residual: BigReal
@@ -429,9 +309,10 @@ def solve_coefficients(nu: int, r, prec: int) -> CoefficientSolution:
 
     Builds the derivative stack exactly, substitutes the alpha relation at
     k_r, and solves the square linear system that kills every positive
-    K-power (A_0 = 1). Raises DegenerateSystemError when the system is
-    singular, and VerificationError when the residual of the eliminated
-    coefficients does not come out below 2^(-prec+48).
+    K-power (A_0 = 1). Raises DegenerateSystemError when the system's
+    reciprocal condition number falls below 2^(-wprec/2) at the working
+    precision wprec, and VerificationError when the residual of the
+    eliminated coefficients does not come out below 2^(-prec+48).
     """
     if nu not in (1, 2, 3):
         raise DomainError(f"nu must be in {{1, 2, 3}}, got {nu}")
@@ -457,15 +338,18 @@ def solve_coefficients(nu: int, r, prec: int) -> CoefficientSolution:
             for m in range(1, n_unknown + 1):
                 M[row, m - 1] = laurents[m].coefficient(e).value
             rhs[row] = -laurents[0].coefficient(e).value
-        try:
-            if len(exps) == n_unknown:
-                sol = mpmath.lu_solve(M, rhs)
-            else:
-                sol, _ = mpmath.qr_solve(M, rhs)
-        except (ZeroDivisionError, ValueError) as exc:
+        # Rows that are dependent in exact arithmetic (nu=1, r=3) come out
+        # dependent only up to round-off, which a solve would turn into
+        # whatever A the round-off dictates; well-posed systems keep an
+        # rcond that does not shrink with the precision.
+        tiny = mpmath.mpf(2) ** (-(wprec // 2))
+        if len(exps) != n_unknown or _rcond(M) < tiny:
+            sv = mpmath.svd_r(M, compute_uv=False)
+            rank = sum(1 for v in sv if v > max(sv) * tiny)
             raise DegenerateSystemError(
-                f"singular coefficient system at nu={nu}, r={rf}",
-                rank=len(exps)) from exc
+                f"singular coefficient system at nu={nu}, r={rf}: numerical rank "
+                f"{rank} of {n_unknown}", rank=rank)
+        sol = mpmath.lu_solve(M, rhs)
         a_coeffs = [mpmath.mpf(1)] + [sol[i] for i in range(n_unknown)]
         residual = mpmath.mpf(0)
         for e in exps:

@@ -268,19 +268,21 @@ def test_criterion_8_property_suite(capsys):
         worst_leg = max(worst_leg, abs(rel.value - pi_half))
     ok_legendre = worst_leg < bits(-(hi - 16))
 
-    # finite-difference check of the formal derivative at 5 seeded moduli
+    # finite-difference check of the formal derivative d/du at 5 seeded
+    # moduli, u0 = k0^2
     p = pf.KEPoly.monomial(2, 1)
-    dp = pf.diff_k(p)
+    dp = pf.diff_u(p)        # 2u(1-u) dp/du
     worst_fd = mpmath.mpf(0)
     for _ in range(5):
-        k0 = Fraction(rng.randint(20, 80), 100)
+        u0 = Fraction(rng.randint(20, 80), 100) ** 2
         h = Fraction(1, 10 ** 12)
         with mp.workprec(420):
-            up = p.eval_at_modulus(pf.BigReal.of(k0 + h, 400), 400).value
-            dn = p.eval_at_modulus(pf.BigReal.of(k0 - h, 400), 400).value
+            up = p.eval_at_u(pf.BigReal.of(u0 + h, 400), 400).value
+            dn = p.eval_at_u(pf.BigReal.of(u0 - h, 400), 400).value
             fd = (up - dn) / (2 * mpmath.mpf(10) ** -12)
-            worst_fd = max(worst_fd, abs(fd - dp.eval_at_modulus(
-                pf.BigReal.of(k0, 400), 400).value))
+            uv = mpmath.mpf(u0.numerator) / u0.denominator
+            worst_fd = max(worst_fd, abs(fd - dp.eval_at_u(
+                pf.BigReal.of(u0, 400), 400).value / (2 * uv * (1 - uv))))
     ok_fd = worst_fd < mpmath.mpf(10) ** -20
 
     # byte-identical JSON across repeated runs

@@ -111,6 +111,13 @@ def test_verification_error_exit_code(capsys, monkeypatch):
     assert "verification failed" in err
 
 
+def test_degenerate_system_exit_code(capsys):
+    code, out, err = run(capsys, PREC + ["series", "--nu", "1", "--r", "3"])
+    assert code == 2
+    assert out == ""
+    assert "singular coefficient system" in err
+
+
 def test_bad_rational_exit_code(capsys):
     code, _, err = run(capsys, PREC + ["alpha", "2.5.1"])
     assert code == 2

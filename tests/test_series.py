@@ -278,6 +278,19 @@ def test_tail_majorant_finite_for_argument_near_one():
     assert math.isfinite(rep.threshold_digits)
 
 
+def test_argument_near_one_accepted_at_low_ambient_precision():
+    # the |x| < 1 test is exact, so it cannot round at the caller's precision
+    spec = PI4_R2.to_spec(P)
+    x = BigReal.of(1, P) - BigReal.of(2, P) ** -100
+    minus_x = -x
+    with mp.workprec(53):
+        for v in (x, minus_x):
+            SeriesSpec(nu=2, r=spec.r, x=v, bracket=spec.bracket, g=spec.g, prec=P)
+        for v in (BigReal.of(1, P), BigReal.of(-1, P)):
+            with pytest.raises(NonConvergentSeriesError):
+                SeriesSpec(nu=2, r=spec.r, x=v, bracket=spec.bracket, g=spec.g, prec=P)
+
+
 # --------------------------------------------------------- published replay
 
 

@@ -12,69 +12,18 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from piforge import (BigReal, DomainError, KEPoly, Poly, RatFunc,
-                     alpha_direct, derivative_stack, diff_k,
+from piforge import (BigReal, DegenerateSystemError, DomainError, KEPoly,
+                     alpha_direct, build_series, derivative_stack, diff_u, dk_dk,
                      singular_modulus, solve_coefficients, substitute_alpha)
-from piforge.symbolic import _DZ, _Z, RF_ONE
 
 from conftest import tol_bits
 
 P = 256
 
 
-# --------------------------------------------------------- Poly / RatFunc
-
-
-def test_poly_basic_algebra():
-    p = Poly((1, 2, 3))  # 1 + 2k + 3k^2
-    q = Poly((0, 1))     # k
-    assert (p * q).coeffs == (0, 1, 2, 3)
-    assert (p + q).coeffs == (1, 3, 3)
-    assert p.deriv().coeffs == (2, 6)
-    assert p.eval_exact(Fraction(1)) == 6
-
-
-def test_poly_divmod_and_gcd():
-    a = Poly((0, 0, -1, 0, 1))       # k^4 - k^2 = k^2 (k-1)(k+1)
-    b = Poly((0, -1, 0, 1))          # k^3 - k
-    q, rem = a.divmod(b)
-    assert rem.degree < b.degree
-    g = a.gcd(b)
-    assert g == Poly((0, -1, 0, 1))  # monic k^3 - k
-
-
-def test_ratfunc_reduction_invariants():
-    # (k^2 - 1)/(k - 1) reduces to k + 1; denominator stays monic
-    f = RatFunc.of(Poly((-1, 0, 1)), Poly((-1, 1)))
-    assert f.num == Poly((1, 1))
-    assert f.den == Poly((1,))
-    g = RatFunc.of(Poly((2,)), Poly((0, 4)))  # 2/(4k) -> (1/2)/k
-    assert g.den == Poly((0, 1))
-    assert g.num == Poly((Fraction(1, 2),))
-
-
-def test_ratfunc_field_ops_and_equality():
-    half = RatFunc.of(Poly((1,)), Poly((2,)))
-    third = RatFunc.of(Poly((1,)), Poly((3,)))
-    assert half + third == RatFunc.of(Poly((5,)), Poly((6,)))
-    x_over = RatFunc.of(Poly((0, 1)), Poly((1, 1)))
-    assert x_over / x_over == RF_ONE
-    assert (x_over - x_over).is_zero()
-
-
-def test_ratfunc_quotient_rule():
-    f = RatFunc.of(Poly((0, 1)), Poly((1, 0, 1)))  # k/(1+k^2)
-    d = f.deriv()
-    want = RatFunc.of(Poly((1, 0, -1)), Poly((1, 0, 2, 0, 1)))
-    assert d == want
-
-
-def test_ratfunc_zero_denominator_rejected():
-    with pytest.raises(ZeroDivisionError):
-        RatFunc.of(Poly((1,)), Poly(()))
-
-
-# --------------------------------------------------------- diff_k rules
+def u_poly(*coeffs):
+    """The integer polynomial coeffs[0] + coeffs[1] u + ... as a KEPoly."""
+    return KEPoly.monomial(0, 0, coeffs)
 
 
 def k_sym():
@@ -85,47 +34,111 @@ def e_sym():
     return KEPoly.monomial(0, 1)
 
 
+# --------------------------------------------------------- KEPoly over Z[u]
+
+
+def test_poly_basic_algebra():
+    p = u_poly(1, 2, 3)  # 1 + 2u + 3u^2
+    q = u_poly(0, 1)     # u
+    assert (p * q).terms == {(0, 0): (0, 1, 2, 3)}
+    assert (p + q).terms == {(0, 0): (1, 3, 3)}
+    assert (p * 2).terms == {(0, 0): (2, 4, 6)}
+    assert (p - p).is_zero()
+    assert p.terms == {(0, 0): (1, 2, 3)} and p.den == (1,)
+    # trailing zero coefficients are trimmed, zero terms pruned
+    assert u_poly(5, 0, 0).terms == {(0, 0): (5,)}
+    assert KEPoly({(1, 0): (0, 0)}).is_zero()
+
+
+def test_kepoly_field_ops_and_equality():
+    half = KEPoly({(0, 0): (1,)}, den=(2,))
+    third = KEPoly({(0, 0): (1,)}, den=(3,))
+    # no reduction: the sum sits over the product of the denominators
+    assert half + third == KEPoly({(0, 0): (5,)}, den=(6,))
+    x_over = KEPoly({(1, 0): (0, 1)}, den=(1, 1))   # u K / (1 + u)
+    assert (x_over * x_over).den == (1, 2, 1)
+    assert (x_over - x_over).is_zero()
+    assert x_over != KEPoly({(1, 0): (0, 1)})
+
+
+def test_kepoly_zero_denominator_rejected():
+    with pytest.raises(ZeroDivisionError):
+        KEPoly({(0, 0): (1,)}, den=(0, 0))
+
+
+# --------------------------------------------------------- diff_u rules
+
+
+def test_diff_u_of_K():
+    # 2u(1-u) dK/du = E - (1-u) K
+    assert diff_u(k_sym()) == KEPoly({(0, 1): (1,), (1, 0): (-1, 1)})
+
+
+def test_diff_u_of_E():
+    # 2u(1-u) dE/du = (1-u)(E - K)
+    assert diff_u(e_sym()) == KEPoly({(0, 1): (1, -1), (1, 0): (-1, 1)})
+
+
 def test_diff_k_of_K():
-    d = diff_k(k_sym())
-    # E/(k - k^3) - K/k
-    assert d.terms[(0, 1)] == RatFunc.of(Poly((1,)), Poly((0, 1, 0, -1)))
-    assert d.terms[(1, 0)] == RatFunc.of(Poly((-1,)), Poly((0, 1)))
+    # the u-rule with du/dk = 2k gives the classical dK/dk = E/(k(1-k^2)) - K/k
+    ctx = singular_modulus(2, P)
+    with mp.workprec(P + 16):
+        kv = ctx.k.value
+        to_k = 2 * kv / (2 * kv ** 2 * (1 - kv ** 2))
+        got = diff_u(k_sym()).eval_numeric(ctx).value * to_k
+    assert abs(got - dk_dk(ctx).value) < tol_bits(P, 24)
 
 
 def test_diff_k_of_E():
-    d = diff_k(e_sym())
-    # (E - K)/k
-    assert d.terms[(0, 1)] == RatFunc.of(Poly((1,)), Poly((0, 1)))
-    assert d.terms[(1, 0)] == RatFunc.of(Poly((-1,)), Poly((0, 1)))
+    # and dE/dk = (E - K)/k
+    ctx = singular_modulus(2, P)
+    with mp.workprec(P + 16):
+        kv = ctx.k.value
+        to_k = 2 * kv / (2 * kv ** 2 * (1 - kv ** 2))
+        got = diff_u(e_sym()).eval_numeric(ctx).value * to_k
+        want = (ctx.big_e.value - ctx.big_k.value) / kv
+    assert abs(got - want) < tol_bits(P, 24)
+
+
+def test_diff_u_of_u_polynomial():
+    # on a pure u-polynomial D is 2u(1-u) d/du; D(u^n) = 2n u^n - 2n u^(n+1)
+    assert diff_u(u_poly(7)).is_zero()
+    assert diff_u(u_poly(0, 0, 1)) == u_poly(0, 0, 4, -4)
+    assert diff_u(u_poly(3, 1)) == u_poly(0, 2, -2)
+    with pytest.raises(ValueError):
+        diff_u(KEPoly({(1, 0): (1,)}, den=(1, -2)))
 
 
 def test_product_rule_on_KE():
     ke = k_sym() * e_sym()
-    lhs = diff_k(ke)
-    rhs = diff_k(k_sym()) * e_sym() + k_sym() * diff_k(e_sym())
+    lhs = diff_u(ke)
+    rhs = diff_u(k_sym()) * e_sym() + k_sym() * diff_u(e_sym())
     assert lhs == rhs
+    # and with u-polynomial coefficients
+    a, b = k_sym() * u_poly(1, -3), e_sym() * e_sym() * u_poly(0, 2, 5)
+    assert diff_u(a * b) == diff_u(a) * b + a * diff_u(b)
+
+
+def rand_kepoly(rng, top=2):
+    p = KEPoly()
+    for _ in range(3):
+        i, j = rng.randint(0, top), rng.randint(0, top)
+        p = p + KEPoly.monomial(i, j, (rng.randint(-3, 3), rng.randint(-3, 3),
+                                       rng.randint(-3, 3)))
+    return p
 
 
 def test_diff_linearity_random():
     rng = random.Random(99)
-
-    def rand_kepoly():
-        p = KEPoly()
-        for _ in range(3):
-            i, j = rng.randint(0, 2), rng.randint(0, 2)
-            coeff = RatFunc.of(Poly((rng.randint(-3, 3), rng.randint(-3, 3))),
-                               Poly((1, rng.randint(0, 2))))
-            p = p + KEPoly.monomial(i, j, coeff)
-        return p
-
     for _ in range(5):
-        a, b = rand_kepoly(), rand_kepoly()
-        assert diff_k(a + b) == diff_k(a) + diff_k(b)
+        a, b = rand_kepoly(rng), rand_kepoly(rng)
+        assert diff_u(a + b) == diff_u(a) + diff_u(b)
+        assert diff_u(a * 3) == diff_u(a) * 3
 
 
 def test_total_degree_preserved():
-    p = KEPoly.monomial(3, 2)
-    d = diff_k(p)
+    p = KEPoly.monomial(3, 2, (1, 4, -1))
+    d = diff_u(p)
     assert d.total_degrees() == {5}
 
 
@@ -136,24 +149,65 @@ def test_stack_structure():
     for nu in (1, 2, 3):
         stack = derivative_stack(nu)
         assert len(stack) == 2 * nu + 1
-        assert stack[0].terms == {(4 * nu, 0): RF_ONE}
+        assert stack[0] == KEPoly.monomial(4 * nu, 0)
+        den = u_poly(1)
         for m, entry in enumerate(stack):
             # z-derivatives keep the (K,E)-homogeneity of K^(4nu)
             assert entry.total_degrees() == {4 * nu}, f"nu={nu} m={m}"
             # E-degree cannot exceed the number of derivatives taken
             assert max(j for (_, j) in entry.terms) <= m
+            # one shared denominator per level, 2^m (1-2u)^(2m)
+            assert entry.den == den.terms[(0, 0)], f"nu={nu} m={m}"
+            den = den * u_poly(2, -8, 8)
+
+
+def test_dz_and_z_tables():
+    # z = 4u(1-u) and dz/du = 4(1-2u) give z d/dz = u(1-u)/(1-2u) d/du, so
+    # by the quotient rule on N/D every level follows from the one before:
+    # z^(m+1) F^(m+1) = z d/dz (z^m F^(m)) - m z^m F^(m)
+    for nu in (1, 2, 3):
+        stack = derivative_stack(nu)
+        for m in range(2 * nu):
+            N, D = KEPoly(stack[m].terms), u_poly(*stack[m].den)
+            dD = u_poly(*(n * c for n, c in enumerate(stack[m].den) if n))
+            num = diff_u(N) * D - N * u_poly(0, 2, -2) * dD
+            z_dz = KEPoly(num.terms, den=(u_poly(2, -4) * D * D).terms[(0, 0)])
+            assert (z_dz - stack[m] * m - stack[m + 1]).is_zero(), f"nu={nu} m={m}"
+
+
+def test_stack_against_sympy_elliptic_derivatives():
+    # independent oracle: sympy differentiates elliptic_k(u)^(4nu) with its
+    # own rules for d elliptic_k/du and d elliptic_e/du (u the parameter,
+    # k^2); nu=3 is too slow for sympy and is checked numerically below
+    sp = pytest.importorskip("sympy")
+    u, K, E = sp.symbols("u K E")
+    to_sym = {sp.elliptic_k(u): K, sp.elliptic_e(u): E}
+    dK = sp.diff(sp.elliptic_k(u), u).subs(to_sym)
+    dE = sp.diff(sp.elliptic_e(u), u).subs(to_sym)
+
+    def as_expr(cs):
+        return sum(c * u ** n for n, c in enumerate(cs))
+
+    for nu in (1, 2):
+        f = K ** (4 * nu)
+        for m, entry in enumerate(derivative_stack(nu)):
+            if m:
+                f = sp.cancel((sp.diff(f, u) + sp.diff(f, K) * dK + sp.diff(f, E) * dE)
+                              / (4 * (1 - 2 * u)))
+            num = sum(as_expr(c) * K ** i * E ** j for (i, j), c in entry.terms.items())
+            got = sp.cancel((4 * u * (1 - u)) ** m * f * as_expr(entry.den))
+            assert sp.expand(got - num) == 0, f"nu={nu} m={m}"
 
 
 def test_stack_first_derivative_finite_difference():
     # z F'(z) for nu=1 against a central difference of phi(z)^2 evaluated
-    # by direct hypergeometric summation at z = 4 k^2 (1-k^2), k = 0.3
+    # by direct hypergeometric summation at z = 4u(1-u), u = 0.09
     stack = derivative_stack(1)
-    kb = BigReal.of(Fraction(3, 10), P)
-    got = stack[1].eval_at_modulus(kb, P)
+    got = stack[1].eval_at_u(BigReal.of(Fraction(9, 100), P), P)
 
     with mp.workprec(400):
-        k = mpmath.mpf(3) / 10
-        z0 = 4 * k ** 2 * (1 - k ** 2)
+        u = mpmath.mpf(9) / 100
+        z0 = 4 * u * (1 - u)
         h = mpmath.mpf(10) ** -25
 
         def F(z):
@@ -165,10 +219,22 @@ def test_stack_first_derivative_finite_difference():
     assert abs(got.value - fd_stack_units) < mpmath.mpf(10) ** -40
 
 
-def test_dz_and_z_tables():
-    # z = 4k^2 - 4k^4 and dz/dk = 8k - 16k^3 stay in sync
-    assert _Z.num.deriv() == _DZ.num
-    assert _Z.den == Poly((1,)) and _DZ.den == Poly((1,))
+def test_stack_nu3_against_numeric_z_derivatives():
+    # z^m (d/dz)^m K^12 by mpmath's numerical differentiation, with
+    # u(z) = (1 - sqrt(1-z))/2 and mpmath's own K
+    stack = derivative_stack(3)
+    u0 = Fraction(9, 100)
+    with mp.workprec(320):
+        z0 = 4 * mpmath.mpf(u0.numerator) / u0.denominator * (1 - mpmath.mpf(u0.numerator)
+                                                               / u0.denominator)
+
+        def f(z):
+            return mpmath.ellipk((1 - mpmath.sqrt(1 - z)) / 2) ** 12
+
+        for m, entry in enumerate(stack):
+            want = z0 ** m * mpmath.diff(f, z0, m)
+            got = entry.eval_at_u(BigReal.of(u0, 256), 256).value
+            assert abs(got - want) < abs(want) * mpmath.mpf(10) ** -40, f"m={m}"
 
 
 def test_hypergeometric_k_parametrization():
@@ -219,12 +285,8 @@ def test_substitute_round_trip_random():
     a = alpha_direct(3, P)
     rng = random.Random(7)
     for _ in range(5):
-        p = KEPoly()
-        for _ in range(4):
-            i, j = rng.randint(0, 3), rng.randint(0, 3)
-            coeff = RatFunc.of(Poly((rng.randint(-5, 5), rng.randint(-5, 5))),
-                               Poly((1, 0, rng.randint(0, 1))))
-            p = p + KEPoly.monomial(i, j, coeff)
+        p = rand_kepoly(rng, top=3)
+        p = KEPoly(p.terms, den=(rng.randint(1, 5), 0, rng.randint(-4, 4)))
         if p.is_zero():
             continue
         direct = p.eval_numeric(ctx)
@@ -370,16 +432,42 @@ def test_solver_rejects_bad_nu():
 
 
 def test_finite_difference_validation_random_moduli():
-    # d/dk of a KEPoly agrees with a central difference of its evaluation
+    # d/du of a KEPoly agrees with a central difference of its evaluation
     rng = random.Random(20240817)
-    p = KEPoly.monomial(2, 1) + KEPoly.monomial(0, 2, RatFunc.of(Poly((0, 1))))
-    dp = diff_k(p)
+    p = KEPoly.monomial(2, 1) + KEPoly.monomial(0, 2, (0, 1))
+    dp = diff_u(p)           # 2u(1-u) dp/du
     for _ in range(5):
-        k0 = Fraction(rng.randint(20, 80), 100)
+        u0 = Fraction(rng.randint(20, 80), 100) ** 2
         h = Fraction(1, 10 ** 12)
         with mp.workprec(420):
-            up = p.eval_at_modulus(BigReal.of(k0 + h, 400), 400).value
-            dn = p.eval_at_modulus(BigReal.of(k0 - h, 400), 400).value
+            up = p.eval_at_u(BigReal.of(u0 + h, 400), 400).value
+            dn = p.eval_at_u(BigReal.of(u0 - h, 400), 400).value
             fd = (up - dn) / (2 * mpmath.mpf(10) ** -12)
-            want = dp.eval_at_modulus(BigReal.of(k0, 400), 400).value
-            assert abs(fd - want) < mpmath.mpf(10) ** -20, f"k={k0}"
+            uv = mpmath.mpf(u0.numerator) / u0.denominator
+            want = dp.eval_at_u(BigReal.of(u0, 400), 400).value / (2 * uv * (1 - uv))
+            assert abs(fd - want) < mpmath.mpf(10) ** -20, f"u={u0}"
+
+
+@pytest.mark.parametrize("prec", [256, 512, 1024, 2048])
+def test_nu1_r3_system_is_degenerate_at_every_precision(prec):
+    # the two rows are proportional, [-1/3, 4/9] and [pi/3, -4pi/9], so any
+    # solution is round-off; the error must not depend on which way it falls
+    with pytest.raises(DegenerateSystemError) as exc:
+        build_series(1, 3, prec)
+    assert exc.value.rank == 1
+
+
+@pytest.mark.parametrize("nu", [2, 3])
+def test_r3_systems_are_well_posed_for_nu_above_1(nu):
+    spec = build_series(nu, 3, 192)
+    assert len(spec.bracket) == 2 * nu + 1
+
+
+def test_solver_condition_threshold_has_margin_at_64_bits():
+    # every pool r builds at the CLI minimum; rcond of the worst of them
+    # (nu=3, r=5/4: 1e-10) sits ten orders above the 64-bit threshold
+    for nu in (1, 2, 3):
+        for r in (Fraction(5, 4), 2, Fraction(7, 2), 7, 15):
+            assert solve_coefficients(nu, r, 64).rank == 2 * nu
+    with pytest.raises(DegenerateSystemError):
+        solve_coefficients(1, 3, 64)

@@ -1,0 +1,125 @@
+"""Paired benchmark runs of two revisions, summarised into one JSON file.
+
+Run from the repository root:
+
+    python3 tools/bench_pairs.py --out BENCH_<n>.json [--parent HEAD~1]
+        [--change HEAD] [--pairs 10] [--workload W ...] [--seed S ...]
+
+Each revision's committed files are exported with ``git archive`` into a
+temporary directory (``TMPDIR`` decides where), so both sides run from a clean
+checkout, as the benchmark itself is run. For every workload and seed the
+script then runs ``python3 perfbench/run.py --workload W --seed S`` in
+``--pairs`` parent/change pairs, alternating which side runs first, at the
+benchmark's own run length.
+
+The output holds, per workload, seed and end-to-end metric, each side's
+median and quartiles and its raw runs, the number of pairs the change won,
+the ``failed``/``attempted``/``correct`` fields of every run, whether the
+per-operation digests of the two sides are identical, and ``src.lines``
+(the line count of ``src/piforge/*.py``) of each side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("cli_cold", "battery", "evaluate_warm")
+
+
+def export(rev: str, dest: Path) -> str:
+    """Extract the committed tree of ``rev`` into ``dest``; return its full hash."""
+    sha = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return sha
+
+
+def src_lines(tree: Path) -> int:
+    return sum(len(p.read_text().splitlines()) for p in (tree / "src" / "piforge").glob("*.py"))
+
+
+def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, list]:
+    """One benchmark run; returns its final JSON line and its per-operation digests."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed)],
+                          cwd=tree, check=True, capture_output=True, text=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    digests = json.loads((tree / "perfbench" / "out" / f"digests-{workload}-{seed}.json")
+                         .read_text())
+    return result, digests
+
+
+def summary(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def compare(parent_runs: list, change_runs: list) -> dict:
+    """Per metric: both sides' summaries and how many pairs the change won."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    direction = {m["name"]: m["better"] for m in spec}
+    out = {}
+    for name, meta in parent_runs[0]["metrics"].items():
+        better = min if direction[name] == "lower" else max
+        p = [r["metrics"][name]["value"] for r in parent_runs]
+        c = [r["metrics"][name]["value"] for r in change_runs]
+        wins = sum(1 for a, b in zip(p, c) if a != b and better(a, b) == b)
+        out[name] = {"unit": meta["unit"], "parent": summary(p), "change": summary(c),
+                     "change_wins": wins, "pairs": len(p)}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--out", required=True, type=Path, help="JSON file to write")
+    ap.add_argument("--parent", default="HEAD~1")
+    ap.add_argument("--change", default="HEAD")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--workload", action="append", choices=WORKLOADS)
+    ap.add_argument("--seed", action="append", type=int)
+    args = ap.parse_args(argv)
+    workloads = args.workload or list(WORKLOADS)
+    seeds = args.seed or [1]
+
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees = {side: Path(tmp) / side for side in ("parent", "change")}
+        doc = {"sides": {side: {"rev": export(getattr(args, side), tree),
+                                "src.lines": src_lines(tree)}
+                         for side, tree in trees.items()},
+               "pairs": args.pairs, "results": {}}
+        for workload in workloads:
+            for seed in seeds:
+                runs = {"parent": [], "change": []}
+                digests_equal = True
+                for i in range(args.pairs):
+                    order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                    digests = {}
+                    for side in order:
+                        result, digests[side] = run_once(trees[side], workload, seed)
+                        runs[side].append(result)
+                    digests_equal &= digests["parent"] == digests["change"]
+                    print(f"{workload} seed {seed} pair {i + 1}/{args.pairs}: " + "  ".join(
+                        f"{side} wall_s {runs[side][-1]['metrics']['wall_s']['value']:.3f}"
+                        for side in ("parent", "change")), file=sys.stderr, flush=True)
+                doc["results"].setdefault(workload, {})[str(seed)] = {
+                    "metrics": compare(runs["parent"], runs["change"]),
+                    "digests_identical": digests_equal,
+                    "checks": {side: [{k: r[k] for k in ("correct", "failed", "attempted")}
+                                      for r in rs] for side, rs in runs.items()},
+                }
+                args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
