@@ -79,6 +79,10 @@ def _pmul(a, b) -> tuple:
     return tuple(out)
 
 
+def _acc(out: dict, key, c) -> None:
+    out[key] = _padd(out.get(key, ()), c)
+
+
 def _horner(cs, x):
     v = mpmath.mpf(0)
     for c in reversed(cs):
@@ -121,7 +125,7 @@ class KEPoly:
             a, b, den = self._scaled(o.den), o._scaled(self.den), _pmul(self.den, o.den)
         out = dict(a)
         for key, c in b.items():
-            out[key] = _padd(out.get(key, ()), c)
+            _acc(out, key, c)
         return KEPoly(out, den)
 
     def __neg__(self) -> "KEPoly":
@@ -136,8 +140,7 @@ class KEPoly:
         out: dict = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in o.terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = _padd(out.get(key, ()), _pmul(c1, c2))
+                _acc(out, (i1 + i2, j1 + j2), _pmul(c1, c2))
         return KEPoly(out, _pmul(self.den, o.den))
 
     def is_zero(self) -> bool:
@@ -186,17 +189,13 @@ def diff_u(p: KEPoly) -> KEPoly:
     if p.den != (1,):
         raise ValueError("diff_u takes a KEPoly with denominator 1")
     out: dict = {}
-
-    def acc(key, c):
-        out[key] = _padd(out.get(key, ()), c)
-
     for (i, j), c in p.terms.items():
         dc = tuple(x * n for n, x in enumerate(c) if n)
-        acc((i, j), _padd(_pmul((0, 2, -2), dc), _pmul(((j - i), (i - j)), c)))
+        _acc(out, (i, j), _padd(_pmul((0, 2, -2), dc), _pmul((j - i, i - j), c)))
         if i:
-            acc((i - 1, j + 1), tuple(i * x for x in c))
+            _acc(out, (i - 1, j + 1), tuple(i * x for x in c))
         if j:
-            acc((i + 1, j - 1), _pmul((-j, j), c))
+            _acc(out, (i + 1, j - 1), _pmul((-j, j), c))
     return KEPoly(out)
 
 
