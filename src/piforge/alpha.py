@@ -38,7 +38,7 @@ import mpmath
 from mpmath import mp
 
 from .bigreal import BigReal, as_fraction, mpf_of, pi_bits, round_to
-from .elliptic import GUARD, ModulusContext, nome, singular_modulus
+from .elliptic import GUARD, ModulusContext, _q_series, nome, singular_modulus
 from .errors import DomainError, RootSelectionError, VerificationError
 from .rr import rr_eval
 
@@ -180,8 +180,10 @@ def alpha_9r(a_r: AlphaValue, prec: int | None = None) -> AlphaValue:
 def eisenstein_p(q, prec: int | None = None) -> BigReal:
     """Weight-2 Eisenstein value P(q) = 1 - 24 sum_{n>=1} n q^n/(1-q^n).
 
-    Lambert series truncated when the tail bound
-    sum_{m>n} m q^m/(1-q) <= q^(n+1) (n+2) / (1-q)^3 falls below 2^(-prec-8).
+    Evaluated as P = 1 + 24 q f'(q)/f(q) with Euler's pentagonal series
+    f(q) = prod_{n>=1} (1 - q^n) = sum_{n in Z} (-1)^n q^(n(3n-1)/2): each
+    theta series is cut at the first term below 2^(-prec-8), and both keep
+    their relative accuracy up to q -> 1.
     """
     if prec is None and isinstance(q, BigReal):
         prec = q.prec
@@ -192,18 +194,8 @@ def eisenstein_p(q, prec: int | None = None) -> BigReal:
         qv = mpf_of(q, wprec)
         if not (0 < qv < 1):
             raise DomainError(f"P(q) requires 0 < q < 1, got {mpmath.nstr(qv, 8)}")
-        eps = mpmath.mpf(2) ** (-(prec + GUARD))
-        one_minus_q = 1 - qv
-        s = mpmath.mpf(0)
-        qn = mpmath.mpf(1)
-        n = 0
-        while True:
-            n += 1
-            qn *= qv
-            s += n * qn / (1 - qn)
-            if qn * (n + 2) / one_minus_q ** 3 < eps:
-                break
-        out = 1 - 24 * s
+        f, qdf = _q_series(qv, 3, -1, -1, prec, deriv=True)
+        out = 1 + 24 * qdf / f
     return round_to(out, prec)
 
 

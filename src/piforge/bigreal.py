@@ -149,10 +149,12 @@ class BigReal:
             return BigReal(self.value ** o.value, p)
 
     def __neg__(self):
-        return BigReal(-self.value, self.prec)
+        with mp.workprec(self.prec):
+            return BigReal(-self.value, self.prec)
 
     def __abs__(self):
-        return BigReal(abs(self.value), self.prec)
+        with mp.workprec(self.prec):
+            return BigReal(abs(self.value), self.prec)
 
     def sqrt(self) -> "BigReal":
         with mp.workprec(self.prec):

@@ -7,11 +7,12 @@ k' = sqrt(1 - k^2). The singular modulus k_r is the unique k in (0,1) with
 K(k')/K(k) = sqrt(r); it is computed from theta constants at the nome
 q = exp(-pi*sqrt(r)).
 
-Error model. Series are truncated with a geometric-tail majorant and each
-operation carries 8 guard bits beyond the requested precision, so a returned
-BigReal at ``prec`` bits is accurate to a few ulps (2^(-prec+4) for agm,
-2^(-prec+8) for K/E and theta-derived quantities). Doubling ``prec`` must
-reproduce any result to within 2^(-prec+8); the test suite enforces this.
+Error model. Each operation carries 8 guard bits beyond the requested
+precision, so a returned BigReal at ``prec`` bits is accurate to a few ulps
+(2^(-prec+4) for agm, 2^(-prec+8) for K/E and the q-series, which all go
+through one theta-series kernel, ``_q_series``, that keeps its relative
+accuracy up to q -> 1). Doubling ``prec`` must reproduce any result to
+within 2^(-prec+8); the test suite enforces this.
 
 All values are immutable after construction and all operations are pure
 functions of their inputs, so contexts can be shared and evaluated in
@@ -131,70 +132,79 @@ def nome(r, prec: int) -> BigReal:
     return round_to(out, prec)
 
 
-def _theta_sum(qv: mpmath.mpf, prec: int, kind: int) -> mpmath.mpf:
-    # theta2 = 2 q^(1/4) sum q^(n(n+1)); theta3/4 = 1 + 2 sum (+-1)^n q^(n^2).
-    # Terms decay super-geometrically; stop once the next term is below
-    # 2^(-prec-GUARD), which bounds the tail by twice that.
-    eps = mpmath.mpf(2) ** (-(prec + GUARD))
-    if qv == 0:
-        return mpmath.mpf(0) if kind == 2 else mpmath.mpf(1)
-    if kind == 2:
-        s = mpmath.mpf(0)
-        n = 0
-        t = mpmath.mpf(1)  # q^(n(n+1)), updated by q^(2n+2)
-        while True:
-            s += t
-            if t < eps:
-                break
-            t *= qv ** (2 * n + 2)
-            n += 1
-        return 2 * mpmath.root(qv, 4) * s
-    s = mpmath.mpf(1)
-    n = 1
-    t = qv  # q^(n^2), updated by q^(2n+1)
+def _q_series(qv: mpmath.mpf, a: int, b: int, sign: int, prec: int, deriv: bool = False):
+    """S = sum_{n in Z} sign^n q^e(n), e(n) = (a n^2 + b n)/2; D = q dS/dq if ``deriv``.
+
+    Needs a > |b| with a + b even, so e(n) >= 0 and the largest term of S is 1.
+    Each side runs outward from n = 0 by ratios (q^e *= q^gap, q^gap *= q^a)
+    and stops at the first term (of D with ``deriv``) below 2^(-prec-GUARD)
+    once e > 0; the ratios shrink, so the tail is a small multiple of that
+    term unless q is within about 1e-8 of 1. Near q = 1 the sums cancel
+    (f(-0.99) ~ 2e-70): the bits lost against the largest term, read off the
+    exponents, are won back by one pass with that many extra bits. Returns
+    (S, D) at the ambient precision plus those bits; D = 0 without ``deriv``.
+    """
+    base, extra = mp.prec, 0
     while True:
-        if kind == 4 and n % 2 == 1:
-            s -= 2 * t
-        else:
-            s += 2 * t
-        if 2 * t < eps:
-            break
-        t *= qv ** (2 * n + 1)
-        n += 1
-    return s
+        with mp.workprec(base + extra):
+            eps = mpmath.ldexp(1, -(prec + GUARD + extra))
+            qa = qv ** a
+            s, d, top = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+            for gap in ((a + b) // 2, (a - b) // 2):
+                t, g, e, sg = mpmath.mpf(1), qv ** gap, 0, 1
+                while True:
+                    t *= g
+                    g *= qa
+                    e += gap
+                    gap += a
+                    sg *= sign
+                    s += sg * t
+                    if deriv:
+                        et = e * t
+                        d += sg * et
+                        top = max(top, et)
+                    if e and (et if deriv else t) < eps:
+                        break
+            lost = max(mpmath.mag(m) - mpmath.mag(x) if x else mp.prec
+                       for m, x in ((1, s), (top, d)) if m)
+        if lost <= extra + GUARD:
+            return s, d
+        extra = lost
 
 
-def _theta(q, prec, kind) -> BigReal:
+def _theta(q, prec, b, sign) -> BigReal:
+    # theta3/theta4 = S(2, 0, +-1); theta2 = q^(1/4) S(2, 2, +1)
     prec = _prec_of(prec, q)
     wprec = prec + 2 * GUARD
     with mp.workprec(wprec):
         qv = mpf_of(q, wprec)
         if qv < 0 or qv >= 1:
             raise DomainError(f"nome must satisfy 0 <= q < 1, got {mpmath.nstr(qv, 8)}")
-        out = _theta_sum(qv, prec, kind)
+        s, _ = _q_series(qv, 2, b, sign, prec)
+        out = mpmath.root(qv, 4) * s if b else s
     return round_to(out, prec)
 
 
 def theta2(q, prec: int | None = None) -> BigReal:
     """theta_2(q) = 2 sum_{n>=0} q^((n+1/2)^2), accurate to 2^(-prec+8)."""
-    return _theta(q, prec, 2)
+    return _theta(q, prec, 2, 1)
 
 
 def theta3(q, prec: int | None = None) -> BigReal:
     """theta_3(q) = 1 + 2 sum_{n>=1} q^(n^2), accurate to 2^(-prec+8)."""
-    return _theta(q, prec, 3)
+    return _theta(q, prec, 0, 1)
 
 
 def theta4(q, prec: int | None = None) -> BigReal:
     """theta_4(q) = 1 + 2 sum_{n>=1} (-1)^n q^(n^2), accurate to 2^(-prec+8)."""
-    return _theta(q, prec, 4)
+    return _theta(q, prec, 0, -1)
 
 
 def eta_f(q, prec: int | None = None) -> BigReal:
     """Euler product f(-q) = prod_{n>=1} (1 - q^n) for 0 <= q < 1.
 
-    Truncated once the geometric tail bound q^(n+1)/(1-q) on the remaining
-    log-sum drops below 2^(-prec-8).
+    Summed as Euler's pentagonal series sum_{n in Z} (-1)^n q^(n(3n-1)/2),
+    accurate to 2^(-prec+8) relative on the whole domain.
     """
     prec = _prec_of(prec, q)
     wprec = prec + 2 * GUARD
@@ -202,18 +212,8 @@ def eta_f(q, prec: int | None = None) -> BigReal:
         qv = mpf_of(q, wprec)
         if qv < 0 or qv >= 1:
             raise DomainError(f"argument must satisfy 0 <= q < 1, got {mpmath.nstr(qv, 8)}")
-        if qv == 0:
-            return BigReal.of(1, prec)
-        eps = mpmath.mpf(2) ** (-(prec + GUARD))
-        one_minus_q = 1 - qv
-        prod = mpmath.mpf(1)
-        qn = mpmath.mpf(1)
-        while True:
-            qn *= qv
-            prod *= 1 - qn
-            if qn / one_minus_q < eps:
-                break
-    return round_to(prod, prec)
+        out, _ = _q_series(qv, 3, -1, -1, prec)
+    return round_to(out, prec)
 
 
 @dataclass(frozen=True)
@@ -268,9 +268,9 @@ def singular_modulus(r, prec: int) -> ModulusContext:
     qb = nome(rf, wprec)
     with mp.workprec(wprec):
         qv = qb.value
-        t2 = _theta_sum(qv, wprec, 2)
-        t3 = _theta_sum(qv, wprec, 3)
-        kv = (t2 / t3) ** 2
+        s2, _ = _q_series(qv, 2, 2, 1, wprec)
+        s3, _ = _q_series(qv, 2, 0, 1, wprec)
+        kv = mpmath.sqrt(qv) * (s2 / s3) ** 2
         if kv == 0 or (1 - kv * kv) == 1:
             # k_r ~ 4 exp(-pi sqrt(r)/2), so k_r^2 needs about pi*sqrt(r)/ln 2 bits
             need = math.ceil(math.pi * math.sqrt(float(rf)) / math.log(2)) + MINIMUM_HEADROOM

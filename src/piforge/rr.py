@@ -1,12 +1,12 @@
 """Rogers-Ramanujan continued fraction R(q) and derived quantities.
 
-R(q) is evaluated through its q-product
+R(q) is evaluated as a quotient of two theta series (Jacobi triple product)
 
-    R(q) = q^(1/5) * prod_{n>=1} (1 - q^n)^chi(n),
-    chi(n) = +1 for n = +-1 (mod 5), -1 for n = +-2 (mod 5), 0 otherwise,
+    R(q) = q^(1/5) * sum_n (-1)^n q^(n(5n-3)/2) / sum_n (-1)^n q^(n(5n-1)/2),
 
-which admits a rigorous geometric tail bound; the literal continued-fraction
-convergent iteration is kept as an independent oracle (``rr_convergents``).
+summed over all integers n; the terms decay like q^(5n^2/2), so O(sqrt(prec))
+of them suffice. The literal continued-fraction convergent iteration is kept
+as an independent oracle (``rr_convergents``).
 
 The companion quantity A = R^(-5) - 11 - R^5 is the natural carrier for the
 degree-5 modular relations: at q = exp(-pi*sqrt(r)) the value A_r computed
@@ -25,7 +25,7 @@ import mpmath
 from mpmath import mp
 
 from .bigreal import BigReal, as_fraction, mpf_of, round_to
-from .elliptic import GUARD, ModulusContext, nome, singular_modulus
+from .elliptic import GUARD, ModulusContext, _q_series, nome, singular_modulus
 from .errors import DomainError
 
 # Calibration of Y = A/NORM against Y(1/5) = 5*sqrt(5)/8; the rejected
@@ -43,20 +43,12 @@ class RRValue:
     prec: int
 
 
-def _chi5(n: int) -> int:
-    m = n % 5
-    if m in (1, 4):
-        return 1
-    if m in (2, 3):
-        return -1
-    return 0
-
-
 def rr_eval(q, prec: int | None = None) -> RRValue:
-    """Evaluate R(q) by the q-product for 0 < q < 1; A computed from R.
+    """Evaluate R(q) for 0 < q < 1 as a quotient of two theta series; A from R.
 
-    The product is truncated once the geometric bound q^(n+1)/(1-q) on the
-    remaining log-sum falls below 2^(-prec-8).
+    R(q) = q^(1/5) f(-q, -q^4)/f(-q^2, -q^3), and by the Jacobi triple
+    product f(-q, -q^4) = sum_{n in Z} (-1)^n q^(n(5n-3)/2) and
+    f(-q^2, -q^3) = sum_{n in Z} (-1)^n q^(n(5n-1)/2).
     """
     if prec is None and isinstance(q, BigReal):
         prec = q.prec
@@ -67,22 +59,9 @@ def rr_eval(q, prec: int | None = None) -> RRValue:
         qv = mpf_of(q, wprec)
         if not (0 < qv < 1):
             raise DomainError(f"R(q) requires 0 < q < 1, got {mpmath.nstr(qv, 8)}")
-        eps = mpmath.mpf(2) ** (-(prec + GUARD))
-        one_minus_q = 1 - qv
-        prod = mpmath.mpf(1)
-        qn = mpmath.mpf(1)
-        n = 0
-        while True:
-            n += 1
-            qn *= qv
-            c = _chi5(n)
-            if c == 1:
-                prod *= 1 - qn
-            elif c == -1:
-                prod /= 1 - qn
-            if qn / one_minus_q < eps:
-                break
-        rv = mpmath.root(qv, 5) * prod
+        num, _ = _q_series(qv, 5, -3, -1, prec)
+        den, _ = _q_series(qv, 5, -1, -1, prec)
+        rv = mpmath.root(qv, 5) * num / den
         av = 1 / rv ** 5 - 11 - rv ** 5
     return RRValue(q=round_to(qv, prec), R=round_to(rv, prec), A=round_to(av, prec), prec=prec)
 

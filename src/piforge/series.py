@@ -144,9 +144,16 @@ class SeriesSpec:
                 f"series argument |x| = {mpmath.nstr(abs(self.x.value), 8)} >= 1")
 
     def dpt(self) -> float:
-        """Decimal digits gained per term: -log10 |x|."""
-        with mp.workprec(64):
-            return float(-mpmath.log(abs(self.x.value), 10))
+        """Decimal digits gained per term: -log10 |x|.
+
+        |x| is rounded to 64 bits beyond those it shares with 1, so an |x|
+        within 2^-64 of 1 keeps a nonzero dpt. The rounding also keeps the
+        log clear of mpmath's shortcut for a long mantissa at low precision,
+        which returns about 0 for |x| just above 1/4.
+        """
+        ax = abs(self.x).value
+        with mp.workprec(64 - min(0, mpmath.mag(1 - ax))):
+            return float(-mpmath.log(+ax, 10))
 
     def target(self, prec: int | None = None) -> BigReal:
         """g / pi^(2nu) at the requested precision (library pi)."""

@@ -26,6 +26,15 @@ def test_arithmetic_uses_max_precision():
     assert (a - 1).prec == 128
 
 
+def test_negation_and_abs_keep_own_precision():
+    x = BigReal.of(1, 256) - BigReal.of(2, 256) ** -100
+    with mp.workprec(53):
+        neg, mag = -x, abs(-x)
+    assert neg.prec == mag.prec == 256
+    assert neg.value == -x.value
+    assert mag.value == x.value
+
+
 def test_exact_operand_promotion():
     a = BigReal.of(Fraction(1, 3), 256)
     s = a + Fraction(2, 3)

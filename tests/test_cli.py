@@ -118,6 +118,20 @@ def test_degenerate_system_exit_code(capsys):
     assert "singular coefficient system" in err
 
 
+def test_root_selection_exit_code(capsys, monkeypatch):
+    import piforge.alpha
+    from piforge.errors import RootSelectionError
+
+    def ambiguous(r, prec, _retries=3):
+        raise RootSelectionError(f"ambiguous quartic root selection at r={r}")
+
+    monkeypatch.setattr(piforge.alpha, "triple_modulus_quartic_root", ambiguous)
+    code, out, err = run(capsys, PREC + ["alpha", "9", "--route", "9r"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_bad_rational_exit_code(capsys):
     code, _, err = run(capsys, PREC + ["alpha", "2.5.1"])
     assert code == 2

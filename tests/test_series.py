@@ -291,6 +291,21 @@ def test_argument_near_one_accepted_at_low_ambient_precision():
                 SeriesSpec(nu=2, r=spec.r, x=v, bracket=spec.bracket, g=spec.g, prec=P)
 
 
+def test_dpt_of_argument_near_one_is_positive():
+    spec = PI4_R2.to_spec(P)
+    x = BigReal.of(1, P) - BigReal.of(2, P) ** -100
+    near = SeriesSpec(nu=2, r=spec.r, x=x, bracket=spec.bracket, g=spec.g, prec=P)
+    assert near.dpt() == pytest.approx(2.0 ** -100 / math.log(10), rel=1e-12, abs=0)
+
+
+def test_dpt_of_argument_just_above_a_quarter():
+    # a 64-bit log of a 256-bit mantissa this close to 1/4 comes out near 0
+    spec = PI4_R2.to_spec(P)
+    x = BigReal.of(Fraction(1, 4), P) + BigReal.of(2, P) ** -257
+    near = SeriesSpec(nu=2, r=spec.r, x=x, bracket=spec.bracket, g=spec.g, prec=P)
+    assert near.dpt() == pytest.approx(math.log10(4), rel=1e-15, abs=0)
+
+
 # --------------------------------------------------------- published replay
 
 

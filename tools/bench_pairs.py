@@ -15,18 +15,22 @@ benchmark's own run length.
 The output holds, per workload, seed and end-to-end metric, each side's
 median and quartiles and its raw runs, the number of pairs the change won,
 the ``failed``/``attempted``/``correct`` fields of every run, whether the
-per-operation digests of the two sides are identical, and ``src.lines``
-(the line count of ``src/piforge/*.py``) of each side.
+per-operation digests of the two sides are identical, and for each side
+``src.lines`` (the line count of ``src/piforge/*.py``) and one tier-1 test run
+(``python -m pytest -q`` in its checkout: wall time and passed/failed counts),
+taken before the benchmark runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +50,18 @@ def export(rev: str, dest: Path) -> str:
 
 def src_lines(tree: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (tree / "src" / "piforge").glob("*.py"))
+
+
+def tier1(tree: Path) -> dict:
+    """One run of the tier-1 tests in ``tree``: wall time and outcome counts."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                          cwd=tree, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    summary_line = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = {key: int(m.group(1)) if (m := re.search(rf"(\d+) {key}", summary_line)) else 0
+              for key in ("passed", "failed", "error")}
+    return {"wall_s": round(wall, 2), **counts, "summary": summary_line}
 
 
 def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, list]:
@@ -97,6 +113,10 @@ def main(argv=None) -> int:
                                 "src.lines": src_lines(tree)}
                          for side, tree in trees.items()},
                "pairs": args.pairs, "results": {}}
+        for side, tree in trees.items():
+            doc["sides"][side]["tier1"] = tier1(tree)
+            print(f"{side} tier-1: {doc['sides'][side]['tier1']['summary']}",
+                  file=sys.stderr, flush=True)
         for workload in workloads:
             for seed in seeds:
                 runs = {"parent": [], "change": []}
