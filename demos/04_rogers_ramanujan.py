@@ -11,11 +11,11 @@ from piforge.catalog import Y_CLOSED_FORMS
 
 PREC = 256
 
-print("== R(q) by product and by literal continued fraction ==")
+print("== R(q) by theta series and by literal continued fraction ==")
 q = nome(1, PREC)
-by_product = rr_eval(q, PREC).R
+by_theta = rr_eval(q, PREC).R
 by_cf = rr_convergents(q, PREC)
-print(f"R(e^-pi)  product     = {by_product.to_decimal(45)}")
+print(f"R(e^-pi)  theta       = {by_theta.to_decimal(45)}")
 print(f"R(e^-pi)  convergents = {by_cf.to_decimal(45)}")
 
 rr = rr_eval(q * q, PREC)
@@ -26,7 +26,7 @@ print("\n== A from singular moduli alone (degree-5 route) ==")
 for r in (1, 2):
     alg = a_r_algebraic(r, PREC)
     direct = rr_eval(nome(r, PREC) ** 2, PREC).A
-    print(f"r={r}: |algebraic - product| = {float(abs((alg - direct).value)):.3e}")
+    print(f"r={r}: |algebraic - theta| = {float(abs((alg - direct).value)):.3e}")
 
 print("\n== the Y table against its closed forms ==")
 for s, _ in Y_CLOSED_FORMS:
