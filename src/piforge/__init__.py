@@ -18,7 +18,7 @@ from .rr import (RRValue, a_r_algebraic, multiplier5_algebraic,
 from .symbolic import (CoefficientSolution, KEPoly, LaurentK, derivative_stack,
                        diff_u, solve_coefficients, substitute_alpha)
 from .series import (SeriesSpec, VerificationReport,
-                     bracket_from_a, build_series, c2, cp, evaluate,
+                     bracket_from_a, build_series, cp, evaluate,
                      from_json, stirling_first, to_json, verify)
 from .catalog import (PUBLISHED_SERIES, PublishedSeries, QuadSurd,
                       published_by_label, r68_identity_residual,

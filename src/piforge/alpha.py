@@ -38,7 +38,7 @@ import mpmath
 from mpmath import mp
 
 from .bigreal import BigReal, as_fraction, mpf_of, pi_bits, round_to
-from .elliptic import GUARD, ModulusContext, _q_series, nome, singular_modulus
+from .elliptic import GUARD, ModulusContext, _prec_of, _q_series, nome, singular_modulus
 from .errors import DomainError, RootSelectionError, VerificationError
 from .rr import rr_eval
 
@@ -185,10 +185,7 @@ def eisenstein_p(q, prec: int | None = None) -> BigReal:
     theta series is cut at the first term below 2^(-prec-8), and both keep
     their relative accuracy up to q -> 1.
     """
-    if prec is None and isinstance(q, BigReal):
-        prec = q.prec
-    if prec is None:
-        raise ValueError("precision required")
+    prec = _prec_of(prec, q)
     wprec = prec + 2 * GUARD
     with mp.workprec(wprec):
         qv = mpf_of(q, wprec)

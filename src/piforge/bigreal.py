@@ -7,8 +7,11 @@ exact operand to the BigReal's precision. All higher modules route their
 numerics through this type so that every result carries its own accuracy
 contract (kernel operations document their error bound relative to ``prec``).
 
-pi is computed once per precision by the Gauss-Legendre AGM iteration and
-cached; the cache is read-mostly and idempotent, so concurrent fills are safe.
+The package's one AGM loop, ``_agm``, lives here: it returns agm(a, b)
+together with the Gauss-Legendre side sum, which gives pi (``pi_bits``),
+and through ``elliptic`` agm, K and E. pi is computed once per precision
+and cached; the cache is read-mostly and idempotent, so concurrent fills
+are safe.
 """
 
 from __future__ import annotations
@@ -41,28 +44,35 @@ def _check_prec(prec: int) -> int:
     return prec
 
 
+def _agm(a, b, eps, side):
+    """(M, S) at the ambient precision: M = agm(a, b) and
+    S = side + sum_{n>=1} 2^(n-1) c_n^2 with c_n = (a_{n-1} - b_{n-1})/2.
+
+    The one AGM loop of the package; it stops once |a_n - b_n| < eps * a_n.
+    Convergence is quadratic (the correct bits double per step), so M is
+    then accurate to a few units of eps.
+    """
+    p = 1
+    while abs(a - b) >= eps * a:
+        c = (a - b) / 2
+        side += p * c * c
+        a, b = (a + b) / 2, mpmath.sqrt(a * b)
+        p *= 2
+    return (a + b) / 2, side
+
+
 @functools.lru_cache(maxsize=None)
 def pi_bits(prec: int) -> mpmath.mpf:
-    """pi to ``prec`` bits via the Gauss-Legendre AGM iteration.
+    """pi to ``prec`` bits by Gauss-Legendre: pi = M^2/(1/4 - S) for
+    (M, S) = _agm(1, 1/sqrt(2)), Legendre's relation at k = 1/sqrt(2).
 
-    Quadratic convergence: the digit count doubles per step, so the loop
-    runs O(log prec) times. Kept independent of mpmath's builtin pi, which
-    the test suite uses as a cross-check oracle.
+    Runs at prec + 32 bits and stops at 2^(-prec-16). Kept independent of
+    mpmath's builtin pi, which the test suite uses as a cross-check oracle.
     """
     prec = _check_prec(prec)
     with mp.workprec(prec + 32):
-        a = mpmath.mpf(1)
-        b = 1 / mpmath.sqrt(2)
-        t = mpmath.mpf(1) / 4
-        p = 1
-        eps = mpmath.mpf(2) ** (-(prec + 16))
-        while abs(a - b) > eps:
-            an = (a + b) / 2
-            b = mpmath.sqrt(a * b)
-            t -= p * (a - an) ** 2
-            a = an
-            p *= 2
-        approx = (a + b) ** 2 / (4 * t)
+        m, s = _agm(mpmath.mpf(1), 1 / mpmath.sqrt(2), mpmath.ldexp(1, -(prec + 16)), 0)
+        approx = m * m / (mpmath.mpf(1) / 4 - s)
     with mp.workprec(prec):
         return +approx
 

@@ -197,12 +197,12 @@ def perturbed(entry: PublishedSeries, j: int, delta: int = 1) -> PublishedSeries
     return replace(entry, bracket=tuple(b), label=entry.label + "-corrupted")
 
 
-def replay_published(prec: int, terms: dict | None = None) -> list[VerificationReport]:
+def replay_published(prec: int) -> list[VerificationReport]:
     """Verify every published series against its published right side.
 
-    ``terms`` optionally overrides the per-series default term counts; when
-    the working precision cannot hold a default count's digits, the count is
-    scaled down so the digit target degrades proportionally with precision.
+    When the working precision cannot hold a series' default term count's
+    digits, the count is scaled down so the digit target degrades
+    proportionally with precision.
     Each report compares the partial sum with rhs/(pi^(2nu)) where pi is
     the library's AGM-computed value; the test suite repeats the comparison
     with an independently computed pi.
@@ -213,9 +213,7 @@ def replay_published(prec: int, terms: dict | None = None) -> list[VerificationR
     capacity = decimal_digits(prec)
     for entry in PUBLISHED_SERIES:
         spec = entry.to_spec(prec)
-        n = (terms or {}).get(entry.label)
-        if n is None:
-            n = min(entry.default_terms, max(4, int((capacity - 14) / spec.dpt())))
+        n = min(entry.default_terms, max(4, int((capacity - 14) / spec.dpt())))
         out.append(verify(spec, n, prec, target=entry.rhs_value(prec)))
     return out
 

@@ -26,8 +26,7 @@ import mpmath
 from mpmath import mp
 
 from . import catalog, series
-from .alpha import (ROUTE_25R, ROUTE_4R, ROUTE_9R, ROUTE_DIRECT, alpha_25r,
-                    alpha_4r, alpha_9r, alpha_direct)
+from .alpha import ROUTE_DIRECT, alpha_25r, alpha_4r, alpha_9r, alpha_direct
 from .bigreal import BigReal, as_fraction, decimal_digits
 from .elliptic import GUARD, singular_modulus
 from .errors import (DomainError, InsufficientPrecisionError, PiforgeError,
@@ -39,6 +38,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_DOMAIN = 2
 EXIT_PRECISION = 3
+
+# CLI route name -> (divisor d, reduction from a(r/d) to a(r)); the reported
+# route is the one the reduction stamps on its AlphaValue (via4r, ...)
+_ROUTES = {"4r": (4, alpha_4r), "9r": (9, alpha_9r), "25r": (25, alpha_25r)}
 
 
 def _default_prec() -> int:
@@ -111,20 +114,12 @@ def cmd_modulus(args) -> int:
 def cmd_alpha(args) -> int:
     prec = args.prec
     r = _parse_rational(args.r)
-    route = args.route
     ctx = singular_modulus(r, prec)
-    direct = alpha_direct(r, prec)
-    if route == ROUTE_DIRECT:
-        value = direct
-        residual = None
-    else:
-        divisor = {ROUTE_4R: 4, ROUTE_9R: 9, ROUTE_25R: 25}[route]
-        base_r = r / divisor
-        if base_r <= 0:
-            raise DomainError(f"r/{divisor} must be positive")
-        base = alpha_direct(base_r, prec)
-        reduce_fn = {ROUTE_4R: alpha_4r, ROUTE_9R: alpha_9r, ROUTE_25R: alpha_25r}[route]
-        value = reduce_fn(base, prec)
+    value = direct = alpha_direct(r, prec)
+    residual = None
+    if args.route != ROUTE_DIRECT:
+        divisor, reduce_fn = _ROUTES[args.route]
+        value = reduce_fn(alpha_direct(r / divisor, prec), prec)
         with mp.workprec(prec + GUARD):
             residual = abs(value.value.value - direct.value.value)
     threshold = Fraction(1, 2 ** (prec - 32))
@@ -132,7 +127,7 @@ def cmd_alpha(args) -> int:
         "command": "alpha",
         "r": f"{r.numerator}/{r.denominator}",
         "prec_bits": prec,
-        "route": route,
+        "route": value.route,
         "k": _fmt(ctx.k, prec),
         "kprime": _fmt(ctx.kprime, prec),
         "K": _fmt(ctx.big_k, prec),
@@ -145,7 +140,7 @@ def cmd_alpha(args) -> int:
         f"k_r  = {doc['k']}",
         f"k'_r = {doc['kprime']}",
         f"K[r] = {doc['K']}",
-        f"a({r}) [{route}] = {doc['value']}",
+        f"a({r}) [{value.route}] = {doc['value']}",
     ]
     if residual is not None:
         lines.append(f"|route - direct| = {doc['route_residual']} (threshold {doc['threshold']})")
@@ -267,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha", help="elliptic alpha function a(r)")
     p.add_argument("r", help="rational r as 'p' or 'p/q'")
-    p.add_argument("--route", choices=(ROUTE_DIRECT, "4r", "9r", "25r"),
-                   default=ROUTE_DIRECT)
+    p.add_argument("--route", choices=(ROUTE_DIRECT, *_ROUTES), default=ROUTE_DIRECT)
     p.set_defaults(fn=cmd_alpha)
 
     p = sub.add_parser("series", help="construct and verify a 1/pi^(2nu) series")
@@ -285,15 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_ROUTE_ALIASES = {"4r": ROUTE_4R, "9r": ROUTE_9R, "25r": ROUTE_25R,
-                  ROUTE_DIRECT: ROUTE_DIRECT}
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "route", None) is not None:
-            args.route = _ROUTE_ALIASES[args.route]
         if args.prec < 64:
             raise DomainError(f"precision must be >= 64 bits, got {args.prec}")
         return args.fn(args)

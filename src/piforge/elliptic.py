@@ -7,12 +7,15 @@ k' = sqrt(1 - k^2). The singular modulus k_r is the unique k in (0,1) with
 K(k')/K(k) = sqrt(r); it is computed from theta constants at the nome
 q = exp(-pi*sqrt(r)).
 
-Error model. Each operation carries 8 guard bits beyond the requested
-precision, so a returned BigReal at ``prec`` bits is accurate to a few ulps
-(2^(-prec+4) for agm, 2^(-prec+8) for K/E and the q-series, which all go
-through one theta-series kernel, ``_q_series``, that keeps its relative
-accuracy up to q -> 1). Doubling ``prec`` must reproduce any result to
-within 2^(-prec+8); the test suite enforces this.
+Error model. Each operation carries guard bits beyond the requested
+precision, so a returned BigReal at ``prec`` bits is accurate to a few ulps:
+2^(-prec+4) for agm, 2^(-prec+8) for K, E and the q-series. agm, K and E
+run through the package's one AGM loop, ``bigreal._agm``, which stops at a
+relative gap of 2^(-prec) for agm and 2^(-prec-8) for K and E; one pass of
+it on (1, k') gives both K = pi/(2M) and E = K (1 - S) from its side sum S.
+The q-series all go through one theta-series kernel, ``_q_series``, that
+keeps its relative accuracy up to q -> 1. Doubling ``prec`` must reproduce
+any result to within 2^(-prec+8); the test suite enforces this.
 
 All values are immutable after construction and all operations are pure
 functions of their inputs, so contexts can be shared and evaluated in
@@ -28,7 +31,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from .bigreal import BigReal, as_fraction, mpf_of, pi_bits, round_to
+from .bigreal import BigReal, _agm, as_fraction, mpf_of, pi_bits, round_to
 from .errors import DomainError, InsufficientPrecisionError
 
 GUARD = 8
@@ -37,14 +40,12 @@ GUARD = 8
 MINIMUM_HEADROOM = 64
 
 
-def _prec_of(prec, *xs, default=None):
+def _prec_of(prec, *xs):
     if prec is not None:
         return int(prec)
     ps = [x.prec for x in xs if isinstance(x, BigReal)]
     if ps:
         return max(ps)
-    if default is not None:
-        return default
     raise ValueError("precision required when no BigReal argument is given")
 
 
@@ -60,30 +61,27 @@ def agm(a, b, prec: int | None = None) -> BigReal:
         av, bv = mpf_of(a, wprec), mpf_of(b, wprec)
         if av <= 0 or bv <= 0:
             raise DomainError("agm requires positive arguments")
-        eps = mpmath.mpf(2) ** (-prec)
-        while abs(av - bv) >= eps * av:
-            av, bv = (av + bv) / 2, mpmath.sqrt(av * bv)
-        out = (av + bv) / 2
+        out, _ = _agm(av, bv, mpmath.ldexp(1, -prec), 0)
     return round_to(out, prec)
 
 
-def _agm_with_side_sum(kv: mpmath.mpf, prec: int):
-    """AGM of (1, k') plus the side sum S = sum 2^(n-1) c_n^2 with c_0 = k.
+def _ell_ke(k, prec) -> tuple[BigReal, BigReal]:
+    """(K(k), E(k)) from one AGM of (1, k'): K = pi/(2M), E = K (1 - S).
 
-    Internal helper for K and E; assumes the current mp context is set by
-    the caller and 0 <= k < 1.
+    S is the AGM side sum started at its c_0 = k term, k^2/2 (Legendre).
+    Both are accurate to 2^(-prec+8); requires 0 <= k < 1.
     """
-    av = mpmath.mpf(1)
-    bv = mpmath.sqrt(1 - kv * kv)
-    eps = mpmath.mpf(2) ** (-prec)
-    side = kv * kv / 2  # 2^(-1) c_0^2
-    n = 0
-    while abs(av - bv) >= eps * av:
-        c = (av - bv) / 2
-        n += 1
-        side += mpmath.mpf(2) ** (n - 1) * c * c
-        av, bv = (av + bv) / 2, mpmath.sqrt(av * bv)
-    return (av + bv) / 2, side
+    prec = _prec_of(prec, k)
+    wprec = prec + 2 * GUARD
+    with mp.workprec(wprec):
+        kv = mpf_of(k, wprec)
+        if kv < 0 or kv >= 1:
+            raise DomainError(f"modulus must satisfy 0 <= k < 1, got {mpmath.nstr(kv, 8)}")
+        m, side = _agm(mpmath.mpf(1), mpmath.sqrt(1 - kv * kv),
+                       mpmath.ldexp(1, -(prec + GUARD)), kv * kv / 2)
+        big_k = pi_bits(wprec) / (2 * m)
+        big_e = big_k * (1 - side)
+    return round_to(big_k, prec), round_to(big_e, prec)
 
 
 def ell_k(k, prec: int | None = None) -> BigReal:
@@ -92,15 +90,7 @@ def ell_k(k, prec: int | None = None) -> BigReal:
     Modulus convention: equals EllipticK[k^2] in parameter-based libraries.
     Accurate to 2^(-prec+8); requires 0 <= k < 1.
     """
-    prec = _prec_of(prec, k)
-    wprec = prec + 2 * GUARD
-    with mp.workprec(wprec):
-        kv = mpf_of(k, wprec)
-        if kv < 0 or kv >= 1:
-            raise DomainError(f"modulus must satisfy 0 <= k < 1, got {mpmath.nstr(kv, 8)}")
-        m, _ = _agm_with_side_sum(kv, prec + GUARD)
-        out = pi_bits(wprec) / (2 * m)
-    return round_to(out, prec)
+    return _ell_ke(k, prec)[0]
 
 
 def ell_e(k, prec: int | None = None) -> BigReal:
@@ -109,15 +99,7 @@ def ell_e(k, prec: int | None = None) -> BigReal:
     E = K * (1 - sum_{n>=0} 2^(n-1) c_n^2) where c_n are the AGM difference
     terms of agm(1, k') and c_0 = k. Accurate to 2^(-prec+8).
     """
-    prec = _prec_of(prec, k)
-    wprec = prec + 2 * GUARD
-    with mp.workprec(wprec):
-        kv = mpf_of(k, wprec)
-        if kv < 0 or kv >= 1:
-            raise DomainError(f"modulus must satisfy 0 <= k < 1, got {mpmath.nstr(kv, 8)}")
-        m, side = _agm_with_side_sum(kv, prec + GUARD)
-        out = pi_bits(wprec) / (2 * m) * (1 - side)
-    return round_to(out, prec)
+    return _ell_ke(k, prec)[1]
 
 
 def nome(r, prec: int) -> BigReal:
@@ -281,8 +263,7 @@ def singular_modulus(r, prec: int) -> ModulusContext:
         kpv = mpmath.sqrt(1 - kv * kv)
     k = round_to(kv, prec)
     kprime = round_to(kpv, prec)
-    big_k = ell_k(round_to(kv, wprec), prec)
-    big_e = ell_e(round_to(kv, wprec), prec)
+    big_k, big_e = _ell_ke(round_to(kv, wprec), prec)
     return ModulusContext(r=rf, q=round_to(qv, prec), k=k, kprime=kprime,
                           big_k=big_k, big_e=big_e, prec=prec)
 

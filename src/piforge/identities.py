@@ -148,16 +148,15 @@ def quintic_residual(r, prec: int) -> BigReal:
     return round_to(abs(multiplier_quintic_residual(m, ctx).value), prec)
 
 
-def identity_battery(prec: int, gate_digits: int | None = None):
+def identity_battery(prec: int):
     """(name, passed, residual text, threshold text) rows.
 
-    Default gate is 60 decimal digits, scaled down when the working
-    precision cannot hold that many.
+    The gate is 60 decimal digits, scaled down when the working precision
+    cannot hold that many.
     """
     from .bigreal import decimal_digits
 
-    if gate_digits is None:
-        gate_digits = min(60, decimal_digits(prec) - 16)
+    gate_digits = min(60, decimal_digits(prec) - 16)
     gate = mpmath.mpf(10) ** (-gate_digits)
     rows = []
 

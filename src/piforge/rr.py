@@ -25,7 +25,7 @@ import mpmath
 from mpmath import mp
 
 from .bigreal import BigReal, as_fraction, mpf_of, round_to
-from .elliptic import GUARD, ModulusContext, _q_series, nome, singular_modulus
+from .elliptic import GUARD, ModulusContext, _prec_of, _q_series, nome, singular_modulus
 from .errors import DomainError
 
 # Calibration of Y = A/NORM against Y(1/5) = 5*sqrt(5)/8; the rejected
@@ -49,38 +49,47 @@ def rr_eval(q, prec: int | None = None) -> RRValue:
     R(q) = q^(1/5) f(-q, -q^4)/f(-q^2, -q^3), and by the Jacobi triple
     product f(-q, -q^4) = sum_{n in Z} (-1)^n q^(n(5n-3)/2) and
     f(-q^2, -q^3) = sum_{n in Z} (-1)^n q^(n(5n-1)/2).
+
+    A cancels as q -> 1 (R^(-5) -> 11.09, R^5 -> 0.09; at q = 0.99 about
+    1,130 bits are lost). When A loses more bits against R^(-5) than the
+    2*GUARD guard bits, R and A are taken again with that many more bits,
+    until the loss fits; A is then accurate to 2^(-prec+8) relative too.
     """
-    if prec is None and isinstance(q, BigReal):
-        prec = q.prec
-    if prec is None:
-        raise ValueError("precision required")
+    prec = _prec_of(prec, q)
     wprec = prec + 2 * GUARD
     with mp.workprec(wprec):
         qv = mpf_of(q, wprec)
         if not (0 < qv < 1):
             raise DomainError(f"R(q) requires 0 < q < 1, got {mpmath.nstr(qv, 8)}")
-        num, _ = _q_series(qv, 5, -3, -1, prec)
-        den, _ = _q_series(qv, 5, -1, -1, prec)
-        rv = mpmath.root(qv, 5) * num / den
-        av = 1 / rv ** 5 - 11 - rv ** 5
-    return RRValue(q=round_to(qv, prec), R=round_to(rv, prec), A=round_to(av, prec), prec=prec)
+    extra = 0
+    while True:
+        with mp.workprec(wprec + extra):
+            num, _ = _q_series(qv, 5, -3, -1, prec + extra)
+            den, _ = _q_series(qv, 5, -1, -1, prec + extra)
+            rv = mpmath.root(qv, 5) * num / den
+            inv5 = 1 / rv ** 5
+            av = inv5 - 11 - rv ** 5
+            lost = mpmath.mag(inv5) - mpmath.mag(av) if av else mp.prec
+        if lost <= extra + 2 * GUARD:
+            return RRValue(q=round_to(qv, prec), R=round_to(rv, prec), A=round_to(av, prec),
+                           prec=prec)
+        extra = lost
 
 
-def rr_convergents(q, prec: int, depth: int | None = None) -> BigReal:
+def rr_convergents(q, prec: int) -> BigReal:
     """R(q) by bottom-up evaluation of the continued fraction itself.
 
     Independent oracle for rr_eval: iterates q^(1/5)/(1+ q/(1+ q^2/(1+ ...)))
-    to ``depth`` levels (default: enough for the tail to fall below the
-    target precision for q <= 1/2).
+    to enough levels for the tail to fall below the target precision for
+    q <= 1/2.
     """
     wprec = prec + 2 * GUARD
     with mp.workprec(wprec):
         qv = mpf_of(q, wprec)
         if not (0 < qv < 1):
             raise DomainError(f"R(q) requires 0 < q < 1, got {mpmath.nstr(qv, 8)}")
-        if depth is None:
-            # level j contributes O(q^j); solve q^depth ~ 2^(-prec-8)
-            depth = int((prec + GUARD) * mpmath.log(2) / -mpmath.log(qv)) + 16
+        # level j contributes O(q^j); solve q^depth ~ 2^(-prec-8)
+        depth = int((prec + GUARD) * mpmath.log(2) / -mpmath.log(qv)) + 16
         acc = mpmath.mpf(1)
         for j in range(depth, 0, -1):
             acc = 1 + qv ** j / acc

@@ -72,11 +72,6 @@ def _scaled(p: int, n: int) -> list[int]:
     return table
 
 
-def c2(n: int) -> Fraction:
-    """c_2(n) = 2^(-6n) sum_s C(2s,s)^3 C(2n-2s,n-s)^3, exact."""
-    return cp(2, n)
-
-
 @functools.lru_cache(maxsize=None)
 def cp(p: int, n: int) -> Fraction:
     """c_p(n) for even p >= 2, the p-fold convolution power of C(2n,n)^3/64^n."""

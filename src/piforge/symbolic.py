@@ -48,7 +48,7 @@ from mpmath import mp
 
 from .alpha import AlphaValue, alpha_from_context
 from .bigreal import BigReal, as_fraction, pi_bits, round_to
-from .elliptic import GUARD, ModulusContext, ell_e, ell_k, singular_modulus
+from .elliptic import GUARD, ModulusContext, _ell_ke, singular_modulus
 from .errors import DegenerateSystemError, DomainError, VerificationError
 
 # ---------------------------------------------------------------------------
@@ -159,9 +159,8 @@ class KEPoly:
     def eval_at_u(self, u, prec: int) -> BigReal:
         """Numeric value at an arbitrary u = k^2 in (0,1) (K, E computed)."""
         ub = u if isinstance(u, BigReal) else BigReal.of(u, prec + GUARD)
-        kb = ub.sqrt()
-        return self._eval(ub.value, ell_k(kb, prec + GUARD).value,
-                          ell_e(kb, prec + GUARD).value, prec)
+        big_k, big_e = _ell_ke(ub.sqrt(), prec + GUARD)
+        return self._eval(ub.value, big_k.value, big_e.value, prec)
 
     def _eval(self, uv, Kv, Ev, prec: int) -> BigReal:
         with mp.workprec(prec + GUARD):

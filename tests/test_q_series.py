@@ -104,3 +104,16 @@ def test_q_series_keep_relative_accuracy_near_one(q):
         checks.append((theta4(qb, prec), mpmath.jtheta(4, 0, qv)))
     for i, (got, want) in enumerate(checks):
         assert rel_err(got, want) < tol, i
+
+
+@pytest.mark.parametrize("q", [Fraction(9, 10), Fraction(99, 100)])
+def test_rr_companion_a_keeps_relative_accuracy_near_one(q):
+    # A = R^(-5) - 11 - R^5 cancels as q -> 1 (about 1,130 bits at q = 0.99);
+    # Ramanujan's A = f(-q)^6/(q f(-q^5)^6) is a quotient of products and
+    # does not, so it is the reference here
+    prec = 256
+    qb = BigReal.of(q, prec)
+    with mp.workprec(2000):
+        qv = qb.value
+        want = mpmath.qp(qv) ** 6 / (qv * mpmath.qp(qv ** 5) ** 6)
+    assert rel_err(rr_eval(qb, prec).A, want) < mpmath.mpf(2) ** (16 - prec)

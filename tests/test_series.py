@@ -13,7 +13,7 @@ from mpmath import mp
 
 from piforge import (BigReal, DomainError, InsufficientPrecisionError,
                      NonConvergentSeriesError, SeriesSpec, bracket_from_a,
-                     build_series, c2, cp, evaluate, from_json,
+                     build_series, cp, evaluate, from_json,
                      replay_published, series, stirling_first, to_json, verify)
 from piforge.bigreal import decimal_digits, round_to
 from piforge.catalog import (PI4_R2, PI6_R2, PI6_R7, PUBLISHED_SERIES,
@@ -29,14 +29,14 @@ P = 256
 
 
 def test_c2_first_values():
-    assert c2(0) == 1
+    assert cp(2, 0) == 1
     # hand expansion: two symmetric terms, each C(2,1)^3 = 8, over 64
-    assert c2(1) == Fraction(16, 64) == Fraction(1, 4)
-    assert c2(2) == Fraction(2 * 6 ** 3 + 8 * 8, 64 ** 2)
+    assert cp(2, 1) == Fraction(16, 64) == Fraction(1, 4)
+    assert cp(2, 2) == Fraction(2 * 6 ** 3 + 8 * 8, 64 ** 2)
 
 
 def test_c2_positive_with_settling_ratio():
-    vals = [c2(n) for n in range(51)]
+    vals = [cp(2, n) for n in range(51)]
     assert all(v > 0 for v in vals)
     ratios = [vals[n + 1] / vals[n] for n in range(50)]
     # ratio tends to 1 from below and increases monotonically in the tail
@@ -47,9 +47,9 @@ def test_c2_positive_with_settling_ratio():
 
 def test_c4_convolution():
     assert cp(4, 0) == 1
-    assert cp(4, 1) == 2 * c2(0) * c2(1) == Fraction(1, 2)
+    assert cp(4, 1) == 2 * cp(2, 0) * cp(2, 1) == Fraction(1, 2)
     n = 9
-    assert cp(4, n) == sum(c2(s) * c2(n - s) for s in range(n + 1))
+    assert cp(4, n) == sum(cp(2, s) * cp(2, n - s) for s in range(n + 1))
 
 
 def test_cp_rejects_odd_p():

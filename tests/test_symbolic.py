@@ -373,7 +373,7 @@ def test_losing_w_reading_is_pinned():
 
 
 def test_solve_nu1_r2_series_against_independent_pi():
-    from piforge import c2
+    from piforge import cp
 
     sol = solve_coefficients(1, 2, P)
     assert sol.rank == 2
@@ -384,7 +384,7 @@ def test_solve_nu1_r2_series_against_independent_pi():
         # bracket: A2 n^2 + (A1 - A2) n + 1
         total = mpmath.mpf(0)
         for n in range(220):
-            c = c2(n)
+            c = cp(2, n)
             total += (mpmath.mpf(c.numerator) / c.denominator * x ** n
                       * (A2 * n * n + (A1 - A2) * n + 1))
         # independent pi from mpmath, not the package's AGM value

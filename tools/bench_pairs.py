@@ -16,7 +16,9 @@ The output holds, per workload, seed and end-to-end metric, each side's
 median and quartiles and its raw runs, the number of pairs the change won,
 the ``failed``/``attempted``/``correct`` fields of every run, whether the
 per-operation digests of the two sides are identical, and for each side
-``src.lines`` (the line count of ``src/piforge/*.py``) and one tier-1 test run
+``src.lines`` (the line count of ``src/piforge/*.py``), ``src.lines_by_module``
+(the same count per module, keyed by file stem, so a change's line deltas
+per module can be read off the file) and one tier-1 test run
 (``python -m pytest -q`` in its checkout: wall time and passed/failed counts),
 taken before the benchmark runs.
 """
@@ -48,8 +50,10 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def src_lines(tree: Path) -> int:
-    return sum(len(p.read_text().splitlines()) for p in (tree / "src" / "piforge").glob("*.py"))
+def module_lines(tree: Path) -> dict:
+    """Line count of each ``src/piforge/*.py``, keyed by module name."""
+    return {p.stem: len(p.read_text().splitlines())
+            for p in sorted((tree / "src" / "piforge").glob("*.py"))}
 
 
 def tier1(tree: Path) -> dict:
@@ -109,12 +113,13 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
-        doc = {"sides": {side: {"rev": export(getattr(args, side), tree),
-                                "src.lines": src_lines(tree)}
+        doc = {"sides": {side: {"rev": export(getattr(args, side), tree)}
                          for side, tree in trees.items()},
                "pairs": args.pairs, "results": {}}
         for side, tree in trees.items():
-            doc["sides"][side]["tier1"] = tier1(tree)
+            lines = module_lines(tree)
+            doc["sides"][side].update({"src.lines": sum(lines.values()),
+                                       "src.lines_by_module": lines, "tier1": tier1(tree)})
             print(f"{side} tier-1: {doc['sides'][side]['tier1']['summary']}",
                   file=sys.stderr, flush=True)
         for workload in workloads:
