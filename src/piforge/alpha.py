@@ -16,9 +16,8 @@ regression tests:
   ~0.30 at r=1 and is kept only as a sentinel
   (``alpha_4r_with_base_modulus``).
 * the cubic-multiplier quartic 27 M^4 - 18 M^2 - 8(1-2 k_r^2) M - 1 = 0 is
-  satisfied by M = K[9r]/K[r]; the admissible root is selected as the real
-  root closest to the numeric quotient K[r]/K[9r], with a
-  precision-doubling retry when the selection margin is thin.
+  satisfied by M = K[9r]/K[r], not by the inverse K[r]/K[9r]; the root is
+  taken by Newton's method started from that numeric quotient.
 * the weight-2 Lambert sum P and the scaled differences T_{p,r} satisfy the
   closed forms below only after two printed-constant calibrations: the
   eta-quotient form of T_{5,r} carries a factor -4, and the R-bracket form
@@ -91,15 +90,21 @@ def alpha_from_context(ctx: ModulusContext, prec: int | None = None) -> AlphaVal
     return AlphaValue(r=ctx.r, value=round_to(v, prec), route=ROUTE_DIRECT, prec=prec)
 
 
-def alpha_4r(a_r: AlphaValue, prec: int | None = None) -> AlphaValue:
-    """a(4r) = (1 + k_4r)^2 a(r) - 2 sqrt(r) k_4r."""
+def _alpha_4r_formula(a_r: AlphaValue, r_k, prec: int | None) -> BigReal:
+    """(1 + k)^2 a(r) - 2 sqrt(r) k with k the singular modulus k_{r_k}."""
     prec = a_r.prec if prec is None else prec
     wprec = prec + 2 * GUARD
-    ctx4 = singular_modulus(4 * a_r.r, wprec)
+    k = singular_modulus(r_k, wprec).k.value
     with mp.workprec(wprec):
         sr = mpmath.sqrt(mpf_of(a_r.r, wprec))
-        v = (1 + ctx4.k.value) ** 2 * a_r.value.value - 2 * sr * ctx4.k.value
-    return AlphaValue(r=4 * a_r.r, value=round_to(v, prec), route=ROUTE_4R, prec=prec)
+        v = (1 + k) ** 2 * a_r.value.value - 2 * sr * k
+    return round_to(v, prec)
+
+
+def alpha_4r(a_r: AlphaValue, prec: int | None = None) -> AlphaValue:
+    """a(4r) = (1 + k_4r)^2 a(r) - 2 sqrt(r) k_4r."""
+    v = _alpha_4r_formula(a_r, 4 * a_r.r, prec)
+    return AlphaValue(r=4 * a_r.r, value=v, route=ROUTE_4R, prec=v.prec)
 
 
 def alpha_4r_with_base_modulus(a_r: AlphaValue, prec: int | None = None) -> BigReal:
@@ -108,48 +113,40 @@ def alpha_4r_with_base_modulus(a_r: AlphaValue, prec: int | None = None) -> BigR
     Kept as a regression sentinel: at r=1 it misses the true a(4) by
     about 0.30. Never used as a computation route.
     """
-    prec = a_r.prec if prec is None else prec
-    wprec = prec + 2 * GUARD
-    ctx = singular_modulus(a_r.r, wprec)
-    with mp.workprec(wprec):
-        sr = mpmath.sqrt(mpf_of(a_r.r, wprec))
-        v = (1 + ctx.k.value) ** 2 * a_r.value.value - 2 * sr * ctx.k.value
-    return round_to(v, prec)
+    return _alpha_4r_formula(a_r, a_r.r, prec)
 
 
-def triple_modulus_quartic_root(r, prec: int, _retries: int = 3) -> BigReal:
-    """The admissible root M of 27 M^4 - 18 M^2 - 8(1-2 k_r^2) M - 1 = 0.
+def triple_modulus_quartic_root(r, prec: int) -> BigReal:
+    """The admissible root M = K[9r]/K[r] of 27 M^4 - 18 M^2 - 8(1-2 k_r^2) M - 1 = 0.
 
-    Numerically M = K[9r]/K[r]; the root is selected by minimizing
-    |root - K[r]/K[9r]| over the real roots, which lands on the positive
-    root (the target quotient exceeds 1 while the positive root sits below
-    it, but every other real root is negative). If the margin between the
-    best and runner-up candidate is below 2^-16 relative, the selection is
-    retried at doubled precision; exhaustion raises RootSelectionError.
+    Two Newton steps from M_0 = K[9r]/K[r] at prec + 4*GUARD bits. As r -> 0
+    the root approaches the triple root 1/3 of the quartic at k = 1, and an
+    error in the coefficient 1 - 2 k_r^2 moves the root by that error over
+    |f'(M)|. When this loss, -log2|f'(M)|, exceeds GUARD bits, the contexts
+    and the Newton steps are taken once more with that many extra bits.
+    RootSelectionError is raised when the last Newton step still exceeds
+    2^-(prec+GUARD) M.
     """
     rf = as_fraction(r)
-    wprec = prec + 4 * GUARD
-    ctx = singular_modulus(rf, wprec)
-    ctx9 = singular_modulus(9 * rf, wprec)
-    with mp.workprec(wprec):
-        ksq = ctx.k.value ** 2
-        coeffs = [mpmath.mpf(27), mpmath.mpf(0), mpmath.mpf(-18), -8 * (1 - 2 * ksq), mpmath.mpf(-1)]
-        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=wprec)
-        target = ctx.big_k.value / ctx9.big_k.value
-        tiny = mpmath.mpf(2) ** (-(wprec // 2))
-        reals = sorted((z.real for z in roots if abs(z.imag) < tiny),
-                       key=lambda x: abs(x - target))
-        if not reals:
-            raise RootSelectionError(f"quartic has no real root at r={rf}")
-        if len(reals) > 1:
-            d0, d1 = abs(reals[0] - target), abs(reals[1] - target)
-            if (d1 - d0) < mpmath.mpf(2) ** (-16) * (d0 + d1):
-                if _retries <= 0:
-                    raise RootSelectionError(
-                        f"ambiguous quartic root selection at r={rf}")
-                return triple_modulus_quartic_root(rf, 2 * prec, _retries - 1)
-        best = reals[0]
-    return round_to(best, prec)
+    extra = 0
+    while True:
+        wprec = prec + 4 * GUARD + extra
+        ctx = singular_modulus(rf, wprec)
+        ctx9 = singular_modulus(9 * rf, wprec)
+        with mp.workprec(wprec):
+            c = -8 * (1 - 2 * ctx.k.value ** 2)
+            m = ctx9.big_k.value / ctx.big_k.value
+            for _ in range(2):
+                df = (108 * m * m - 36) * m + c
+                step = (((27 * m * m - 18) * m + c) * m - 1) / df
+                m -= step
+            lost = -mpmath.mag(df)
+        if extra or lost <= GUARD:
+            break
+        extra = lost
+    if abs(step) > mpmath.ldexp(m, -(prec + GUARD)):
+        raise RootSelectionError(f"Newton iteration for the quartic root did not settle at r={rf}")
+    return round_to(m, prec)
 
 
 def alpha_9r(a_r: AlphaValue, prec: int | None = None) -> AlphaValue:
@@ -203,11 +200,8 @@ def t_sum(p: int, r, prec: int) -> BigReal:
     rf = as_fraction(r)
     wprec = prec + 2 * GUARD
     q = nome(rf, wprec)
-    with mp.workprec(wprec):
-        q2 = q.value ** 2
-        q2p = q.value ** (2 * p)
-    a = eisenstein_p(round_to(q2, wprec), wprec)
-    b = eisenstein_p(round_to(q2p, wprec), wprec)
+    a = eisenstein_p(q ** 2, wprec)
+    b = eisenstein_p(q ** (2 * p), wprec)
     with mp.workprec(wprec):
         out = a.value - p * b.value
     return round_to(out, prec)
@@ -248,11 +242,8 @@ def t5_eta_form(r, prec: int) -> BigReal:
     rf = as_fraction(r)
     wprec = prec + 2 * GUARD
     q = nome(rf, wprec)
-    with mp.workprec(wprec):
-        q2 = q.value ** 2
-        q10 = q.value ** 10
-    x = eta_f(round_to(q2, wprec), wprec)
-    y = eta_f(round_to(q10, wprec), wprec)
+    x = eta_f(q ** 2, wprec)
+    y = eta_f(q ** 10, wprec)
     with mp.workprec(wprec):
         xv, yv = x.value ** 6, y.value ** 6
         rad = mpmath.sqrt(xv ** 2 + 22 * q.value ** 2 * xv * yv + 125 * q.value ** 4 * yv ** 2)
@@ -272,9 +263,7 @@ def t5_rr_form(r, prec: int) -> BigReal:
     rf = as_fraction(r)
     wprec = prec + 2 * GUARD
     ctx = singular_modulus(rf, wprec)
-    with mp.workprec(wprec):
-        q2 = ctx.q.value ** 2
-    rrv = rr_eval(round_to(q2, wprec), wprec)
+    rrv = rr_eval(ctx.q ** 2, wprec)
     with mp.workprec(wprec):
         k, kp = ctx.k.value, ctx.kprime.value
         R5 = rrv.R.value ** 5
@@ -330,9 +319,7 @@ def alpha_25r(a_r: AlphaValue, prec: int | None = None) -> AlphaValue:
     rf = a_r.r
     ctx = singular_modulus(rf, wprec)
     ctx25 = singular_modulus(25 * rf, wprec)
-    with mp.workprec(wprec):
-        q2 = ctx.q.value ** 2
-    rrv = rr_eval(round_to(q2, wprec), wprec)
+    rrv = rr_eval(ctx.q ** 2, wprec)
     with mp.workprec(wprec):
         sr = ctx.sqrt_r().value
         k, kp = ctx.k.value, ctx.kprime.value

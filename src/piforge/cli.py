@@ -8,10 +8,10 @@ deterministic: keys sorted, decimals rendered at a precision-derived digit
 count, no timestamps, so identical invocations are byte-identical.
 
 Exit codes: 0 success, 1 verification failure, 2 domain error (also a
-singular coefficient system, DegenerateSystemError, and a quartic root that
-cannot be singled out, RootSelectionError), 3 insufficient precision. Text
-output always shows residual/threshold pairs so a failure is diagnosable
-from the log alone.
+singular coefficient system, DegenerateSystemError, and a quartic root whose
+Newton iteration does not settle, RootSelectionError), 3 insufficient
+precision. Text output always shows residual/threshold pairs so a failure is
+diagnosable from the log alone.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ class InsufficientPrecisionError(PiforgeError):
 
 
 class RootSelectionError(PiforgeError):
-    """No admissible root of a modular polynomial could be singled out."""
+    """The Newton iteration for a modular polynomial's root did not settle."""
 
 
 class DegenerateSystemError(PiforgeError):

@@ -31,9 +31,7 @@ def lambert_alpha_identity(r, prec: int) -> BigReal:
     wprec = prec + 2 * GUARD
     ctx = singular_modulus(rf, wprec)
     a = alpha_direct(rf, wprec)
-    with mp.workprec(wprec):
-        q2 = ctx.q.value ** 2
-    lhs = eisenstein_p(round_to(q2, wprec), wprec)
+    lhs = eisenstein_p(ctx.q ** 2, wprec)
     with mp.workprec(wprec):
         sr = ctx.sqrt_r().value
         piv = pi_bits(wprec)
@@ -61,13 +59,18 @@ def lambert_alpha_identity_plain_nome(r, prec: int) -> BigReal:
     return round_to(resid, prec)
 
 
-def t_closed_residual(p: int, r, prec: int) -> BigReal:
-    """T_{p,r} from Lambert sums against its alpha/multiplier closed form (p=5)."""
-    lhs = t_sum(p, r, prec + GUARD)
-    rhs = t5_closed_form(r, prec + GUARD)
+def _t5_residual(form, r, prec: int) -> BigReal:
+    """|T_{5,r} from Lambert sums - form(r)|, for one of the T_{5,r} forms."""
+    lhs = t_sum(5, r, prec + GUARD)
+    rhs = form(r, prec + GUARD)
     with mp.workprec(prec + GUARD):
         resid = abs(lhs.value - rhs.value)
     return round_to(resid, prec)
+
+
+def t_closed_residual(r, prec: int) -> BigReal:
+    """T_{5,r} from Lambert sums against its alpha/multiplier closed form."""
+    return _t5_residual(t5_closed_form, r, prec)
 
 
 def scaled_lambert_residual(p: int, r, prec: int) -> BigReal:
@@ -78,9 +81,7 @@ def scaled_lambert_residual(p: int, r, prec: int) -> BigReal:
     ctx = singular_modulus(rf, wprec)
     ctxp = singular_modulus(p * p * rf, wprec)
     a_p = alpha_direct(p * p * rf, wprec)
-    with mp.workprec(wprec):
-        q2p = ctx.q.value ** (2 * p)
-    lhs = eisenstein_p(round_to(q2p, wprec), wprec)
+    lhs = eisenstein_p(ctx.q ** (2 * p), wprec)
     with mp.workprec(wprec):
         sr = ctx.sqrt_r().value
         piv = pi_bits(wprec)
@@ -94,20 +95,12 @@ def scaled_lambert_residual(p: int, r, prec: int) -> BigReal:
 
 def t_eta_residual(r, prec: int) -> BigReal:
     """T_{5,r} from Lambert sums against the calibrated eta-product form."""
-    lhs = t_sum(5, r, prec + GUARD)
-    rhs = t5_eta_form(r, prec + GUARD)
-    with mp.workprec(prec + GUARD):
-        resid = abs(lhs.value - rhs.value)
-    return round_to(resid, prec)
+    return _t5_residual(t5_eta_form, r, prec)
 
 
 def t_rr_residual(r, prec: int) -> BigReal:
     """T_{5,r} from Lambert sums against the calibrated R-bracket form."""
-    lhs = t_sum(5, r, prec + GUARD)
-    rhs = t5_rr_form(r, prec + GUARD)
-    with mp.workprec(prec + GUARD):
-        resid = abs(lhs.value - rhs.value)
-    return round_to(resid, prec)
+    return _t5_residual(t5_rr_form, r, prec)
 
 
 def eta_cube_residual(r, prec: int) -> BigReal:
@@ -115,9 +108,7 @@ def eta_cube_residual(r, prec: int) -> BigReal:
     rf = as_fraction(r)
     wprec = prec + 2 * GUARD
     ctx = singular_modulus(rf, wprec)
-    with mp.workprec(wprec):
-        q2 = ctx.q.value ** 2
-    f = eta_f(round_to(q2, wprec), wprec)
+    f = eta_f(ctx.q ** 2, wprec)
     with mp.workprec(wprec):
         piv = pi_bits(wprec)
         rhs = (2 * ctx.k.value * ctx.kprime.value * ctx.big_k.value ** 3
@@ -167,7 +158,7 @@ def identity_battery(prec: int):
 
     add("weight-2 Lambert vs alpha at r=3", lambert_alpha_identity(3, prec))
     add("weight-2 Lambert (plain nome) at r=2", lambert_alpha_identity_plain_nome(2, prec))
-    add("T(5,1) Lambert vs closed form", t_closed_residual(5, 1, prec))
+    add("T(5,1) Lambert vs closed form", t_closed_residual(1, prec))
     add("scaled Lambert vs alpha at (5,1)", scaled_lambert_residual(5, 1, prec))
     add("T(5,1) Lambert vs eta products", t_eta_residual(1, prec))
     add("eta-cube bridge at r=2", eta_cube_residual(2, prec))

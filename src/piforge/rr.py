@@ -8,8 +8,10 @@ summed over all integers n; the terms decay like q^(5n^2/2), so O(sqrt(prec))
 of them suffice. The literal continued-fraction convergent iteration is kept
 as an independent oracle (``rr_convergents``).
 
-The companion quantity A = R^(-5) - 11 - R^5 is the natural carrier for the
-degree-5 modular relations: at q = exp(-pi*sqrt(r)) the value A_r computed
+The companion quantity A = R^(-5) - 11 - R^5 = f(-q)^6/(q f(-q^5)^6)
+(Ramanujan; f(-q) = prod_{n>=1} (1 - q^n)) is the natural carrier for the
+degree-5 modular relations; the product form is used where the subtraction
+cancels, near q = 1. At q = exp(-pi*sqrt(r)) the value A_r computed
 from R(q^2) is algebraic and can be cross-computed from the singular moduli
 k_r, k_25r alone (``a_r_algebraic``). Y values are A_{r/5}/8; the divisor 8
 is calibrated once against the closed form Y(1/5) = 5*sqrt(5)/8 (a divisor
@@ -44,16 +46,18 @@ class RRValue:
 
 
 def rr_eval(q, prec: int | None = None) -> RRValue:
-    """Evaluate R(q) for 0 < q < 1 as a quotient of two theta series; A from R.
+    """Evaluate R(q) for 0 < q < 1 as a quotient of two theta series, and A.
 
     R(q) = q^(1/5) f(-q, -q^4)/f(-q^2, -q^3), and by the Jacobi triple
     product f(-q, -q^4) = sum_{n in Z} (-1)^n q^(n(5n-3)/2) and
     f(-q^2, -q^3) = sum_{n in Z} (-1)^n q^(n(5n-1)/2).
 
-    A cancels as q -> 1 (R^(-5) -> 11.09, R^5 -> 0.09; at q = 0.99 about
-    1,130 bits are lost). When A loses more bits against R^(-5) than the
-    2*GUARD guard bits, R and A are taken again with that many more bits,
-    until the loss fits; A is then accurate to 2^(-prec+8) relative too.
+    A = R^(-5) - 11 - R^5 cancels as q -> 1 (R^(-5) -> 11.09, R^5 -> 0.09;
+    at q = 0.99 about 1,130 bits are lost). When that subtraction loses more
+    than the 2*GUARD guard bits, A is taken from Ramanujan's quotient of
+    products A = f(-q)^6/(q f(-q^5)^6) instead, which does not cancel;
+    f(-q^5) = sum_{n in Z} (-1)^n q^(5n(3n-1)/2) is summed in q itself, so
+    q^5 is never rounded. A is accurate to 2^(-prec+8) relative either way.
     """
     prec = _prec_of(prec, q)
     wprec = prec + 2 * GUARD
@@ -61,19 +65,16 @@ def rr_eval(q, prec: int | None = None) -> RRValue:
         qv = mpf_of(q, wprec)
         if not (0 < qv < 1):
             raise DomainError(f"R(q) requires 0 < q < 1, got {mpmath.nstr(qv, 8)}")
-    extra = 0
-    while True:
-        with mp.workprec(wprec + extra):
-            num, _ = _q_series(qv, 5, -3, -1, prec + extra)
-            den, _ = _q_series(qv, 5, -1, -1, prec + extra)
-            rv = mpmath.root(qv, 5) * num / den
-            inv5 = 1 / rv ** 5
-            av = inv5 - 11 - rv ** 5
-            lost = mpmath.mag(inv5) - mpmath.mag(av) if av else mp.prec
-        if lost <= extra + 2 * GUARD:
-            return RRValue(q=round_to(qv, prec), R=round_to(rv, prec), A=round_to(av, prec),
-                           prec=prec)
-        extra = lost
+        num, _ = _q_series(qv, 5, -3, -1, prec)
+        den, _ = _q_series(qv, 5, -1, -1, prec)
+        rv = mpmath.root(qv, 5) * num / den
+        inv5 = 1 / rv ** 5
+        av = inv5 - 11 - rv ** 5
+        if mpmath.mag(inv5) - mpmath.mag(av) > 2 * GUARD:
+            f, _ = _q_series(qv, 3, -1, -1, prec)
+            f5, _ = _q_series(qv, 15, -5, -1, prec)
+            av = (f / f5) ** 6 / qv
+    return RRValue(q=round_to(qv, prec), R=round_to(rv, prec), A=round_to(av, prec), prec=prec)
 
 
 def rr_convergents(q, prec: int) -> BigReal:
@@ -138,10 +139,7 @@ def y_value(r_over_5, prec: int) -> BigReal:
     if s <= 0:
         raise DomainError(f"argument must be positive, got {s}")
     wprec = prec + 2 * GUARD
-    q = nome(s, wprec)
-    with mp.workprec(wprec):
-        q2 = q.value * q.value
-    rr = rr_eval(round_to(q2, wprec), wprec)
+    rr = rr_eval(nome(s, wprec) ** 2, wprec)
     with mp.workprec(wprec):
         out = rr.A.value / Y_NORMALIZATION
     return round_to(out, prec)

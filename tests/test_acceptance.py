@@ -115,7 +115,7 @@ def test_criterion_4_identity_suite_60_digits():
     residuals = {
         "weight-2 Lambert at r=3": lambert_alpha_identity(3, P),
         "weight-2 Lambert (plain nome) at r=2": lambert_alpha_identity_plain_nome(2, P),
-        "T(5,1) vs closed form": t_closed_residual(5, 1, P),
+        "T(5,1) vs closed form": t_closed_residual(1, P),
         "scaled Lambert at (5,1)": scaled_lambert_residual(5, 1, P),
         "T(5,1) vs eta products": t_eta_residual(1, P),
         "eta-cube bridge at r=2": eta_cube_residual(2, P),

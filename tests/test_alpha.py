@@ -100,6 +100,44 @@ def test_quartic_root_is_inverse_k_quotient():
     assert abs(M.value - ctx9.big_k.value / ctx.big_k.value) < tol_bits(P, 24)
 
 
+def polyroots_quartic_root(r, prec):
+    """The quartic root as it was once selected: every root by mpmath.polyroots,
+    then the real root closest to K[r]/K[9r], rounded to prec."""
+    wprec = prec + 32
+    ctx = singular_modulus(r, wprec)
+    ctx9 = singular_modulus(9 * r, wprec)
+    with mp.workprec(wprec):
+        ksq = ctx.k.value ** 2
+        coeffs = [27, 0, -18, -8 * (1 - 2 * ksq), -1]
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=wprec)
+        target = ctx.big_k.value / ctx9.big_k.value
+        tiny = mpmath.mpf(2) ** (-(wprec // 2))
+        best = min((z.real for z in roots if abs(z.imag) < tiny),
+                   key=lambda x: abs(x - target))
+    with mp.workprec(prec):
+        return +best
+
+
+@pytest.mark.parametrize("r", [Fraction(1, 9), 1, 2, Fraction(7, 2), 58])
+def test_quartic_root_matches_polyroots_selection(r):
+    for prec in (64, 256, 1024):
+        got = triple_modulus_quartic_root(r, prec)
+        assert got.prec == prec
+        assert got.value == polyroots_quartic_root(r, prec), prec
+
+
+@pytest.mark.parametrize("r", [Fraction(1, 300), Fraction(1, 1000)])
+def test_quartic_root_near_triple_root_keeps_precision(r):
+    # as r -> 0 the root nears the triple root 1/3 and the quartic is ill
+    # conditioned (the polyroots selection kept 68 of 128 bits at r = 1/1000)
+    prec = 128
+    ctx = singular_modulus(r, 512)
+    ctx9 = singular_modulus(9 * r, 512)
+    want = ctx9.big_k.value / ctx.big_k.value
+    got = triple_modulus_quartic_root(r, prec).value
+    assert abs(got - want) / want < tol_bits(prec, 8)
+
+
 def test_alpha_9_route():
     a9 = alpha_9r(alpha_direct(1, P))
     assert a9.route == "via9r"

@@ -122,10 +122,11 @@ def test_root_selection_exit_code(capsys, monkeypatch):
     import piforge.alpha
     from piforge.errors import RootSelectionError
 
-    def ambiguous(r, prec, _retries=3):
-        raise RootSelectionError(f"ambiguous quartic root selection at r={r}")
+    def unsettled(r, prec):
+        raise RootSelectionError(
+            f"Newton iteration for the quartic root did not settle at r={r}")
 
-    monkeypatch.setattr(piforge.alpha, "triple_modulus_quartic_root", ambiguous)
+    monkeypatch.setattr(piforge.alpha, "triple_modulus_quartic_root", unsettled)
     code, out, err = run(capsys, PREC + ["alpha", "9", "--route", "9r"])
     assert code == 2
     assert out == ""

@@ -30,7 +30,7 @@ def test_individual_residuals_tight():
     checks = [
         lambert_alpha_identity(3, P),
         lambert_alpha_identity_plain_nome(2, P),
-        t_closed_residual(5, 1, P),
+        t_closed_residual(1, P),
         scaled_lambert_residual(5, 1, P),
         t_eta_residual(1, P),
         eta_cube_residual(2, P),

@@ -108,12 +108,20 @@ def test_q_series_keep_relative_accuracy_near_one(q):
 
 @pytest.mark.parametrize("q", [Fraction(9, 10), Fraction(99, 100)])
 def test_rr_companion_a_keeps_relative_accuracy_near_one(q):
-    # A = R^(-5) - 11 - R^5 cancels as q -> 1 (about 1,130 bits at q = 0.99);
-    # Ramanujan's A = f(-q)^6/(q f(-q^5)^6) is a quotient of products and
-    # does not, so it is the reference here
+    # A = R^(-5) - 11 - R^5 cancels as q -> 1 (about 1,130 bits at q = 0.99),
+    # so rr_eval takes Ramanujan's A = f(-q)^6/(q f(-q^5)^6) from theta
+    # series here; mpmath.qp's products are the independent reference
     prec = 256
     qb = BigReal.of(q, prec)
     with mp.workprec(2000):
         qv = qb.value
         want = mpmath.qp(qv) ** 6 / (qv * mpmath.qp(qv ** 5) ** 6)
     assert rel_err(rr_eval(qb, prec).A, want) < mpmath.mpf(2) ** (16 - prec)
+
+
+def test_rr_companion_a_at_q_999_agrees_across_precisions():
+    # both calls get the same 128-bit q: A ~ exp(-c/(1-q)) magnifies a
+    # 2^-128 change in q about 2^21-fold
+    qb = BigReal.of(Fraction(999, 1000), 128)
+    lo, hi = rr_eval(qb, 128).A, rr_eval(qb, 256).A
+    assert rel_err(lo, hi.value) < mpmath.mpf(2) ** -120

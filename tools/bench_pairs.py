@@ -18,15 +18,20 @@ the ``failed``/``attempted``/``correct`` fields of every run, whether the
 per-operation digests of the two sides are identical, and for each side
 ``src.lines`` (the line count of ``src/piforge/*.py``), ``src.lines_by_module``
 (the same count per module, keyed by file stem, so a change's line deltas
-per module can be read off the file) and one tier-1 test run
-(``python -m pytest -q`` in its checkout: wall time and passed/failed counts),
-taken before the benchmark runs.
+per module can be read off the file), one tier-1 test run
+(``python -m pytest -q`` in its checkout: wall time and passed/failed counts)
+and the sha256 of the stdout of ``python3 -m piforge.cli --prec N --format
+json verify`` for N in 512, 2048 and 8192, run in its checkout; all of these
+are taken before the benchmark runs. The top-level ``verify_json_identical``
+says whether the two sides' verify outputs hash the same at every N.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -37,6 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("cli_cold", "battery", "evaluate_warm")
+VERIFY_PRECS = (512, 2048, 8192)
 
 
 def export(rev: str, dest: Path) -> str:
@@ -66,6 +72,15 @@ def tier1(tree: Path) -> dict:
     counts = {key: int(m.group(1)) if (m := re.search(rf"(\d+) {key}", summary_line)) else 0
               for key in ("passed", "failed", "error")}
     return {"wall_s": round(wall, 2), **counts, "summary": summary_line}
+
+
+def verify_digests(tree: Path) -> dict:
+    """sha256 of ``piforge --prec N --format json verify``'s stdout, keyed by N."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    return {str(prec): hashlib.sha256(subprocess.run(
+        [sys.executable, "-m", "piforge.cli", "--prec", str(prec), "--format", "json", "verify"],
+        cwd=tree, env=env, check=True, capture_output=True).stdout).hexdigest()
+        for prec in VERIFY_PRECS}
 
 
 def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, list]:
@@ -119,9 +134,12 @@ def main(argv=None) -> int:
         for side, tree in trees.items():
             lines = module_lines(tree)
             doc["sides"][side].update({"src.lines": sum(lines.values()),
-                                       "src.lines_by_module": lines, "tier1": tier1(tree)})
+                                       "src.lines_by_module": lines, "tier1": tier1(tree),
+                                       "verify_sha256": verify_digests(tree)})
             print(f"{side} tier-1: {doc['sides'][side]['tier1']['summary']}",
                   file=sys.stderr, flush=True)
+        doc["verify_json_identical"] = (doc["sides"]["parent"]["verify_sha256"]
+                                        == doc["sides"]["change"]["verify_sha256"])
         for workload in workloads:
             for seed in seeds:
                 runs = {"parent": [], "change": []}
