@@ -29,7 +29,7 @@ for r in (1, 2):
     print(f"r={r}: |algebraic - theta| = {float(abs((alg - direct).value)):.3e}")
 
 print("\n== the Y table against its closed forms ==")
-for s, _ in Y_CLOSED_FORMS:
+for s, *_ in Y_CLOSED_FORMS:
     got = y_value(s, PREC)
     resid = abs((got - y_closed_form(s, PREC)).value)
     print(f"Y({str(s):>4}) = {got.to_decimal(30):<36} residual {float(resid):.1e}")

@@ -223,78 +223,36 @@ def replay_published(prec: int) -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 
 
-def _y15(prec):  # 5 sqrt(5)/8
-    return 5 * mpmath.sqrt(5) / 8
-
-
-def _y25(prec):
-    return mpmath.mpf(5) / 8 * (5 + 2 * mpmath.sqrt(5))
-
-
-def _y35(prec):
-    return mpmath.mpf(5) / 16 * (25 + 11 * mpmath.sqrt(5))
-
-
-def _y45(prec):
-    return mpmath.mpf(5) / 16 * (25 + 13 * mpmath.sqrt(5)
-                                 + 5 * mpmath.sqrt(58 + 26 * mpmath.sqrt(5)))
-
-
-def _y55(prec):
-    return mpmath.mpf(125) / 8 * (2 + mpmath.sqrt(5))
-
-
-def _y65(prec):
-    return mpmath.mpf(5) / 8 * (50 + 35 * mpmath.sqrt(2)
-                                + 3 * mpmath.sqrt(5 * (99 + 70 * mpmath.sqrt(2))))
-
-
-def _y95(prec):
-    return mpmath.mpf(5) / 8 * (225 + 104 * mpmath.sqrt(5)
-                                + 10 * mpmath.sqrt(1047 + 468 * mpmath.sqrt(5)))
-
-
-def _y125(prec):
-    return mpmath.mpf(5) / 16 * (1690 + 975 * mpmath.sqrt(3)
-                                 + 29 * mpmath.sqrt(6755 + 3900 * mpmath.sqrt(3)))
-
-
-def _y145(prec):
-    return mpmath.mpf(5) / 8 * (1850 + 585 * mpmath.sqrt(10)
-                                + 7 * mpmath.sqrt(5 * (27379 + 8658 * mpmath.sqrt(10))))
-
-
-def _y175(prec):
-    return mpmath.mpf(5) / 8 * (5360 + 585 * mpmath.sqrt(85)
-                                + 4 * mpmath.sqrt(3613670 + 391950 * mpmath.sqrt(85)))
-
-
+# Y(s) = m (a + b sqrt(d) + c sqrt(f (g + h sqrt(d)))), one row (s, m, a, b, d, c, f, g, h)
+# per argument; every m is an odd integer over a power of two, so scaling by
+# it rounds once
 Y_CLOSED_FORMS = (
-    (Fraction(1, 5), _y15),
-    (Fraction(2, 5), _y25),
-    (Fraction(3, 5), _y35),
-    (Fraction(4, 5), _y45),
-    (Fraction(1), _y55),
-    (Fraction(6, 5), _y65),
-    (Fraction(9, 5), _y95),
-    (Fraction(12, 5), _y125),
-    (Fraction(14, 5), _y145),
-    (Fraction(17, 5), _y175),
+    (Fraction(1, 5), Fraction(5, 8), 0, 1, 5, 0, 0, 0, 0),
+    (Fraction(2, 5), Fraction(5, 8), 5, 2, 5, 0, 0, 0, 0),
+    (Fraction(3, 5), Fraction(5, 16), 25, 11, 5, 0, 0, 0, 0),
+    (Fraction(4, 5), Fraction(5, 16), 25, 13, 5, 5, 1, 58, 26),
+    (Fraction(1), Fraction(125, 8), 2, 1, 5, 0, 0, 0, 0),
+    (Fraction(6, 5), Fraction(5, 8), 50, 35, 2, 3, 5, 99, 70),
+    (Fraction(9, 5), Fraction(5, 8), 225, 104, 5, 10, 1, 1047, 468),
+    (Fraction(12, 5), Fraction(5, 16), 1690, 975, 3, 29, 1, 6755, 3900),
+    (Fraction(14, 5), Fraction(5, 8), 1850, 585, 10, 7, 5, 27379, 8658),
+    (Fraction(17, 5), Fraction(5, 8), 5360, 585, 85, 4, 1, 3613670, 391950),
 )
 
 
 def y_closed_form(s: Fraction, prec: int) -> BigReal:
-    for arg, fn in Y_CLOSED_FORMS:
+    for arg, m, a, b, d, c, f, g, h in Y_CLOSED_FORMS:
         if arg == s:
             with mp.workprec(prec + GUARD):
-                return round_to(fn(prec), prec)
+                v = a + b * mpmath.sqrt(d) + c * mpmath.sqrt(f * (g + h * mpmath.sqrt(d)))
+                return round_to(mpmath.mpf(m.numerator) / m.denominator * v, prec)
     raise DomainError(f"no closed form catalogued for Y({s})")
 
 
 def y_table_residuals(prec: int) -> dict:
     """|computed Y(s) - closed form| for every catalogued argument."""
     out = {}
-    for s, _ in Y_CLOSED_FORMS:
+    for s, *_ in Y_CLOSED_FORMS:
         computed = y_value(s, prec)
         closed = y_closed_form(s, prec)
         with mp.workprec(prec + GUARD):

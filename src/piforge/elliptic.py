@@ -69,7 +69,8 @@ def _ell_ke(k, prec) -> tuple[BigReal, BigReal]:
     """(K(k), E(k)) from one AGM of (1, k'): K = pi/(2M), E = K (1 - S).
 
     S is the AGM side sum started at its c_0 = k term, k^2/2 (Legendre).
-    Both are accurate to 2^(-prec+8); requires 0 <= k < 1.
+    Both are accurate to 2^(-prec+8); requires 0 <= k < 1. Raises
+    InsufficientPrecisionError when k' rounds to 0 at the working precision.
     """
     prec = _prec_of(prec, k)
     wprec = prec + 2 * GUARD
@@ -77,8 +78,14 @@ def _ell_ke(k, prec) -> tuple[BigReal, BigReal]:
         kv = mpf_of(k, wprec)
         if kv < 0 or kv >= 1:
             raise DomainError(f"modulus must satisfy 0 <= k < 1, got {mpmath.nstr(kv, 8)}")
-        m, side = _agm(mpmath.mpf(1), mpmath.sqrt(1 - kv * kv),
-                       mpmath.ldexp(1, -(prec + GUARD)), kv * kv / 2)
+        kpv = mpmath.sqrt(1 - kv * kv)
+        if kpv == 0:
+            # k' ~ sqrt(2 (1 - k)) needs about -log2(1 - k) bits to resolve
+            lost = -mpmath.mag(1 - kv)
+            raise InsufficientPrecisionError(
+                f"k' = sqrt(1 - k^2) rounds to 0 at {prec} bits (1 - k < 2^-{lost})",
+                required_bits=lost + MINIMUM_HEADROOM)
+        m, side = _agm(mpmath.mpf(1), kpv, mpmath.ldexp(1, -(prec + GUARD)), kv * kv / 2)
         big_k = pi_bits(wprec) / (2 * m)
         big_e = big_k * (1 - side)
     return round_to(big_k, prec), round_to(big_e, prec)
@@ -237,35 +244,48 @@ class ModulusContext:
 def singular_modulus(r, prec: int) -> ModulusContext:
     """Build the ModulusContext for rational r > 0 at ``prec`` bits.
 
-    k_r = theta2(q)^2/theta3(q)^2 with q = exp(-pi*sqrt(r)). Raises
-    InsufficientPrecisionError when k_r^2 underflows below one ulp of 1
-    (then kprime would round to exactly 1 and K(kprime) would be
+    k_s = theta2(q)^2/theta3(q)^2 with q = exp(-pi*sqrt(s)) and s = max(r, 1/r).
+    For r >= 1, k_r = k_s; for r < 1, k_r = k'_s and k'_r = k_s, and
+    K[r] = K[s]/sqrt(r) with E[r] from Legendre's relation
+    E K' + E' K - K K' = pi/2, so that neither k' nor K is ever derived from
+    a k near 1, where sqrt(1 - k^2) cancels. Raises
+    InsufficientPrecisionError when k_s^2 underflows below one ulp of 1
+    (then k'_s would round to exactly 1 and K(k'_s) would be
     indistinguishable from a pole); the error carries a sufficient
     precision estimate instead of returning a silent zero.
     """
     rf = as_fraction(r)
     if rf <= 0:
         raise DomainError(f"r must be positive, got {rf}")
+    s = max(rf, 1 / rf)
     wprec = prec + 4 * GUARD
-    qb = nome(rf, wprec)
+    qs = nome(s, wprec).value
     with mp.workprec(wprec):
-        qv = qb.value
-        s2, _ = _q_series(qv, 2, 2, 1, wprec)
-        s3, _ = _q_series(qv, 2, 0, 1, wprec)
-        kv = mpmath.sqrt(qv) * (s2 / s3) ** 2
+        s2, _ = _q_series(qs, 2, 2, 1, wprec)
+        s3, _ = _q_series(qs, 2, 0, 1, wprec)
+        kv = mpmath.sqrt(qs) * (s2 / s3) ** 2
         if kv == 0 or (1 - kv * kv) == 1:
-            # k_r ~ 4 exp(-pi sqrt(r)/2), so k_r^2 needs about pi*sqrt(r)/ln 2 bits
-            need = math.ceil(math.pi * math.sqrt(float(rf)) / math.log(2)) + MINIMUM_HEADROOM
+            # k_s ~ 4 exp(-pi sqrt(s)/2), so k_s^2 needs about pi*sqrt(s)/ln 2 bits
+            need = math.ceil(math.pi * math.sqrt(float(s)) / math.log(2)) + MINIMUM_HEADROOM
             raise InsufficientPrecisionError(
-                f"singular modulus k_r indistinguishable from 0 at {prec} bits for r={rf}",
+                f"singular modulus k_r indistinguishable from {0 if rf >= 1 else 1} "
+                f"at {prec} bits for r={rf}",
                 required_bits=need,
             )
         kpv = mpmath.sqrt(1 - kv * kv)
-    k = round_to(kv, prec)
-    kprime = round_to(kpv, prec)
-    big_k, big_e = _ell_ke(round_to(kv, wprec), prec)
-    return ModulusContext(r=rf, q=round_to(qv, prec), k=k, kprime=kprime,
-                          big_k=big_k, big_e=big_e, prec=prec)
+    if rf >= 1:
+        qv = qs
+        big_k, big_e = _ell_ke(round_to(kv, wprec), prec)
+    else:
+        qv = nome(rf, wprec).value
+        ks, es = (v.value for v in _ell_ke(round_to(kv, wprec), wprec))
+        kv, kpv = kpv, kv
+        with mp.workprec(wprec):
+            kr = ks / mpmath.sqrt(mpmath.mpf(rf.numerator) / rf.denominator)
+            er = (pi_bits(wprec) / 2 + kr * (ks - es)) / ks
+        big_k, big_e = round_to(kr, prec), round_to(er, prec)
+    return ModulusContext(r=rf, q=round_to(qv, prec), k=round_to(kv, prec),
+                          kprime=round_to(kpv, prec), big_k=big_k, big_e=big_e, prec=prec)
 
 
 def dk_dk(ctx: ModulusContext) -> BigReal:

@@ -15,13 +15,12 @@ A SeriesSpec is a fully determined series
 
     sum_{n>=n_start} c_{2nu}(n) x^n B(n) = g / pi^(2nu),
 
-with x = 4 (k_r k'_r)^2 and B the degree-2nu bracket polynomial obtained
-from the solved A-coefficients by the falling-factorial-to-monomial
+with r > 1, x = 4 (k_r k'_r)^2 and B the degree-2nu bracket polynomial
+obtained from the solved A-coefficients by the falling-factorial-to-monomial
 conversion (signed Stirling numbers of the first kind). Internally B_0 is
-normalized to 1; published normalizations are handled by the catalog.
-
-Evaluation accumulates in fixed-size chunks with a fixed reduction order,
-so repeated runs are bit-identical.
+normalized to 1; published normalizations are handled by the catalog. For
+r < 1, k_r^2 > 1/2 and the construction does not apply; x is the same as at
+1/r, and the solve rejects such an r naming 1/r.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .errors import DomainError, InsufficientPrecisionError, NonConvergentSeries
 from .symbolic import solve_coefficients
 
 SCHEMA = "piforge/1"
-_CHUNK = 32
 # digits of terms past a partial sum that the tail majorant sums exactly
 _WINDOW_DIGITS = 24
 
@@ -177,8 +175,8 @@ def evaluate(spec: SeriesSpec, terms: int, prec: int | None = None) -> BigReal:
     """Partial sum of ``terms`` consecutive terms starting at spec.n_start.
 
     Each coefficient is rounded once from its exact integer N_p(n) and
-    scaled by 2^(-6n); x^n and the bracket are accumulated at prec + 64
-    working bits in fixed chunks with a fixed reduction order. Raises
+    scaled by 2^(-6n); x^n and the bracket are accumulated in one running
+    sum at prec + 64 working bits. Raises
     InsufficientPrecisionError when the truncation target (terms * dpt
     digits) cannot be represented at ``prec``.
     """
@@ -198,19 +196,13 @@ def evaluate(spec: SeriesSpec, terms: int, prec: int | None = None) -> BigReal:
         xv = spec.x.value
         bvals = [b.value for b in spec.bracket]
         total = mpmath.mpf(0)
-        chunk = mpmath.mpf(0)
         xn = xv ** spec.n_start
-        for i in range(terms):
-            n = spec.n_start + i
+        for n in range(spec.n_start, spec.n_start + terms):
             bn = mpmath.mpf(0)
             for b in reversed(bvals):
                 bn = bn * n + b
-            chunk += mpmath.ldexp(mpmath.mpf(coeffs[n]), -6 * n) * xn * bn
+            total += mpmath.ldexp(mpmath.mpf(coeffs[n]), -6 * n) * xn * bn
             xn *= xv
-            if (i + 1) % _CHUNK == 0:
-                total += chunk
-                chunk = mpmath.mpf(0)
-        total += chunk
     return round_to(total, prec)
 
 

@@ -221,34 +221,10 @@ def derivative_stack(nu: int) -> tuple[KEPoly, ...]:
     return tuple(stack)
 
 
-@dataclass(frozen=True)
-class LaurentK:
-    """Numeric Laurent polynomial in K.
-
-    ``entries`` maps the K-exponent to its BigReal coefficient (powers of pi
-    arising from substitution are folded into the coefficients). Exponents
-    share the parity of the substituted polynomial's homogeneous degree; the
-    solver's inputs have even degree 4nu, so there they are even and lie in
-    0..4nu.
-    """
-
-    entries: dict
-    prec: int
-
-    def coefficient(self, e: int) -> BigReal:
-        return self.entries.get(e, BigReal.of(0, self.prec))
-
-    def eval_at(self, big_k: BigReal) -> BigReal:
-        with mp.workprec(self.prec + GUARD):
-            v = mpmath.mpf(0)
-            for e, c in self.entries.items():
-                v += c.value * big_k.value ** e
-        return round_to(v, self.prec)
-
-
-def substitute_alpha(p: KEPoly, ctx: ModulusContext, a: AlphaValue) -> LaurentK:
+def substitute_alpha(p: KEPoly, ctx: ModulusContext, a: AlphaValue) -> dict:
     """Replace every E by K (1 - a/sqrt(r)) + pi/(4 K sqrt(r)) and evaluate
-    the coefficients at u = k_r^2.
+    the coefficients at u = k_r^2: a Laurent polynomial in K, returned as
+    {K-exponent: BigReal coefficient} with zero coefficients left out.
 
     Each numerator is evaluated by Horner at u, taken once at the working
     precision; every collected entry is then divided by the one shared
@@ -272,8 +248,7 @@ def substitute_alpha(p: KEPoly, ctx: ModulusContext, a: AlphaValue) -> LaurentK:
                 val = cv * mpmath.binomial(j, t) * lam ** (j - t) * mu ** t
                 out[e] = out.get(e, mpmath.mpf(0)) + val
         den = _horner(p.den, uv)
-        entries = {e: round_to(v / den, prec) for e, v in out.items() if v != 0}
-    return LaurentK(entries=entries, prec=prec)
+        return {e: round_to(v / den, prec) for e, v in out.items() if v != 0}
 
 
 def _rcond(M) -> mpmath.mpf:
@@ -290,7 +265,8 @@ class CoefficientSolution:
 
     ``residual`` is the largest leftover K-power coefficient after the
     solve (the quantities that the construction forces to vanish);
-    ``rank`` is the size of the solved square system.
+    ``rank`` is the size of the solved square system and ``rcond`` its
+    reciprocal 1-norm condition number.
     """
 
     nu: int
@@ -299,6 +275,7 @@ class CoefficientSolution:
     g: BigReal
     residual: BigReal
     rank: int
+    rcond: BigReal
     prec: int
 
 
@@ -307,10 +284,13 @@ def solve_coefficients(nu: int, r, prec: int) -> CoefficientSolution:
 
     Builds the derivative stack exactly, substitutes the alpha relation at
     k_r, and solves the square linear system that kills every positive
-    K-power (A_0 = 1). Raises DegenerateSystemError when the system's
-    reciprocal condition number falls below 2^(-wprec/2) at the working
-    precision wprec, and VerificationError when the residual of the
-    eliminated coefficients does not come out below 2^(-prec+48).
+    K-power (A_0 = 1). The solve loses about L = -log2(rcond) bits to the
+    system's reciprocal condition number rcond; when L passes 6*GUARD, the
+    context, alpha, substitution and solve are taken once more with L extra
+    bits. Raises DomainError for r <= 1, DegenerateSystemError when rcond
+    falls below 2^(-wprec/2) at the working precision wprec, and
+    VerificationError when the residual of the eliminated coefficients does
+    not come out below 2^(-prec+48).
     """
     if nu not in (1, 2, 3):
         raise DomainError(f"nu must be in {{1, 2, 3}}, got {nu}")
@@ -318,49 +298,56 @@ def solve_coefficients(nu: int, r, prec: int) -> CoefficientSolution:
     if rf == 1:
         raise DomainError("r = 1 sits on the branch point z = 1 (dz/dk = 0); "
                           "no convergent series exists there")
-    wprec = prec + 8 * GUARD
-    ctx = singular_modulus(rf, wprec)
-    a = alpha_from_context(ctx)
-    stack = derivative_stack(nu)
-    try:
-        laurents = [substitute_alpha(p, ctx, a) for p in stack]
-    except ZeroDivisionError as exc:
-        raise DegenerateSystemError(f"derivative stack has a pole at r={rf}") from exc
-
-    exps = sorted({e for L in laurents for e in L.entries if e != 0}, reverse=True)
+    if rf < 1:
+        raise DomainError(f"r = {rf} puts k_r^2 above 1/2, where the construction does "
+                          f"not apply; r = {1 / rf} gives the same x")
     n_unknown = 2 * nu
+    extra = 0
+    while True:
+        wprec = prec + 8 * GUARD + extra
+        ctx = singular_modulus(rf, wprec)
+        a = alpha_from_context(ctx)
+        try:
+            laurents = [substitute_alpha(p, ctx, a) for p in derivative_stack(nu)]
+        except ZeroDivisionError as exc:
+            raise DegenerateSystemError(f"derivative stack has a pole at r={rf}") from exc
+        exps = sorted({e for L in laurents for e in L if e != 0}, reverse=True)
+        with mp.workprec(wprec):
+            # coefficient of K^e in each stack entry, 0 where it is absent
+            coef = {e: [L[e].value if e in L else mpmath.mpf(0) for L in laurents]
+                    for e in exps + [0]}
+            M = mpmath.matrix([coef[e][1:] for e in exps])
+            rhs = mpmath.matrix([-coef[e][0] for e in exps])
+            # Rows that are dependent in exact arithmetic (nu=1, r=3) come out
+            # dependent only up to round-off, which a solve would turn into
+            # whatever A the round-off dictates; well-posed systems keep an
+            # rcond that does not shrink with the precision.
+            tiny = mpmath.mpf(2) ** (-(wprec // 2))
+            rcond = _rcond(M) if len(exps) == n_unknown else mpmath.mpf(0)
+            if rcond < tiny:
+                sv = mpmath.svd_r(M, compute_uv=False)
+                rank = sum(1 for v in sv if v > max(sv) * tiny)
+                raise DegenerateSystemError(
+                    f"singular coefficient system at nu={nu}, r={rf}: numerical rank "
+                    f"{rank} of {n_unknown}", rank=rank)
+            lost = 1 - mpmath.mag(rcond)       # ceil(-log2 rcond), read off the exponent
+        if extra or lost <= 6 * GUARD:
+            break
+        extra = lost
     with mp.workprec(wprec):
-        M = mpmath.matrix(len(exps), n_unknown)
-        rhs = mpmath.matrix(len(exps), 1)
-        for row, e in enumerate(exps):
-            for m in range(1, n_unknown + 1):
-                M[row, m - 1] = laurents[m].coefficient(e).value
-            rhs[row] = -laurents[0].coefficient(e).value
-        # Rows that are dependent in exact arithmetic (nu=1, r=3) come out
-        # dependent only up to round-off, which a solve would turn into
-        # whatever A the round-off dictates; well-posed systems keep an
-        # rcond that does not shrink with the precision.
-        tiny = mpmath.mpf(2) ** (-(wprec // 2))
-        if len(exps) != n_unknown or _rcond(M) < tiny:
-            sv = mpmath.svd_r(M, compute_uv=False)
-            rank = sum(1 for v in sv if v > max(sv) * tiny)
-            raise DegenerateSystemError(
-                f"singular coefficient system at nu={nu}, r={rf}: numerical rank "
-                f"{rank} of {n_unknown}", rank=rank)
         sol = mpmath.lu_solve(M, rhs)
         a_coeffs = [mpmath.mpf(1)] + [sol[i] for i in range(n_unknown)]
-        residual = mpmath.mpf(0)
-        for e in exps:
-            left = mpmath.mpf(0)
+
+        def combined(e):
+            v = mpmath.mpf(0)
             for m in range(n_unknown + 1):
-                left += a_coeffs[m] * laurents[m].coefficient(e).value
-            residual = max(residual, abs(left))
+                v += a_coeffs[m] * coef[e][m]
+            return v
+
+        residual = max(abs(combined(e)) for e in exps)
         # K^0 coefficient; restoring (2/pi)^(4nu) and multiplying by pi^(2nu)
         # leaves g = c0 * 2^(4nu) / pi^(2nu)
-        c0 = mpmath.mpf(0)
-        for m in range(n_unknown + 1):
-            c0 += a_coeffs[m] * laurents[m].coefficient(0).value
-        g = c0 * mpmath.mpf(2) ** (4 * nu) / pi_bits(wprec) ** (2 * nu)
+        g = combined(0) * mpmath.mpf(2) ** (4 * nu) / pi_bits(wprec) ** (2 * nu)
         if residual >= mpmath.mpf(2) ** (-(prec - 48)):
             raise VerificationError(
                 f"coefficient solve at nu={nu}, r={rf}: residual "
@@ -373,5 +360,6 @@ def solve_coefficients(nu: int, r, prec: int) -> CoefficientSolution:
         g=round_to(g, prec),
         residual=round_to(residual, prec),
         rank=len(exps),
+        rcond=round_to(rcond, prec),
         prec=prec,
     )

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import mpmath
 import pytest
 from mpmath import mp
@@ -30,3 +33,18 @@ def as_mpf(x):
 def tol_bits(prec, slack):
     """2^(-prec+slack) as an mpf comparison bound."""
     return mpmath.mpf(2) ** (-(prec - slack))
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body after ``seconds``, so a hang fails the test."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    saved = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, saved)

@@ -6,15 +6,15 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from piforge import (BigReal, DomainError, alpha_25r, alpha_4r, alpha_9r,
-                     alpha_direct, eisenstein_p, multiplier,
+from piforge import (BigReal, DomainError, InsufficientPrecisionError, alpha_25r,
+                     alpha_4r, alpha_9r, alpha_direct, eisenstein_p, multiplier,
                      multiplier_quintic_residual, nome, singular_modulus,
                      t5_closed_form, t5_eta_form, t5_rr_form, t_sum,
                      triple_modulus_quartic_root)
 from piforge.alpha import alpha_4r_with_base_modulus
 from piforge.bigreal import pi_bits
 
-from conftest import tol_bits
+from conftest import deadline, tol_bits
 
 P = 256
 
@@ -136,6 +136,12 @@ def test_quartic_root_near_triple_root_keeps_precision(r):
     want = ctx9.big_k.value / ctx.big_k.value
     got = triple_modulus_quartic_root(r, prec).value
     assert abs(got - want) / want < tol_bits(prec, 8)
+
+
+def test_quartic_root_at_small_r_asks_for_precision():
+    # the 96-bit context at r = 1/1000 cannot hold k_r = 1 - 2^-140
+    with deadline(10), pytest.raises(InsufficientPrecisionError):
+        triple_modulus_quartic_root(Fraction(1, 1000), 64)
 
 
 def test_alpha_9_route():

@@ -1,6 +1,9 @@
 """CLI surface: subcommands, exit codes, JSON determinism, env override."""
 
 import json
+from fractions import Fraction
+
+import pytest
 
 from piforge.cli import main
 
@@ -116,6 +119,15 @@ def test_degenerate_system_exit_code(capsys):
     assert code == 2
     assert out == ""
     assert "singular coefficient system" in err
+
+
+@pytest.mark.parametrize("r", ["1/2", "1/7", "2/3", "1/10"])
+def test_series_below_r_1_is_domain_error(capsys, r):
+    # k_r^2 > 1/2 for r < 1; 1/r gives the same x with k_r^2 < 1/2
+    code, out, err = run(capsys, PREC + ["series", "--nu", "2", "--r", r])
+    assert code == 2
+    assert out == ""
+    assert f"r = {1 / Fraction(r)} gives the same x" in err
 
 
 def test_root_selection_exit_code(capsys, monkeypatch):

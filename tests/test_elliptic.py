@@ -17,7 +17,7 @@ from piforge import (BigReal, DomainError, InsufficientPrecisionError, agm,
                      theta2, theta3, theta4)
 from piforge.bigreal import pi_bits
 
-from conftest import tol_bits
+from conftest import deadline, tol_bits
 
 P = 256
 
@@ -130,6 +130,17 @@ def test_legendre_relation_random_moduli():
         lhs = (ell_e(k, P) * ell_k(kp, P) + ell_e(kp, P) * ell_k(k, P)
                - ell_k(k, P) * ell_k(kp, P))
         assert abs(lhs.value - pi_bits(P) / 2) < tol_bits(P, 16)
+
+
+def test_k_near_1_asks_for_precision_instead_of_hanging():
+    # k' = sqrt(1 - k^2) rounds to 0 at 64 bits; an AGM of (1, 0) never stops
+    k = BigReal.of(1 - Fraction(1, 2 ** 200), 256)
+    with deadline(10), pytest.raises(InsufficientPrecisionError) as exc:
+        ell_k(k, 64)
+    prec = exc.value.required_bits
+    with mp.workprec(prec + 256):
+        want = mpmath.ellipk(k.value ** 2)
+    assert abs(ell_k(k, prec).value - want) < want * tol_bits(64, 4)
 
 
 def test_k_domain():
@@ -294,6 +305,22 @@ def test_doubling_agreement():
             a = getattr(lo, field).value
             b = getattr(hi, field).value
             assert abs(a - b) < tol_bits(P, 8), f"r={r} field={field}"
+
+
+@pytest.mark.parametrize("r", [Fraction(1, 100), Fraction(1, 400), Fraction(1, 1000)])
+def test_contexts_below_r_1_keep_their_bits(r):
+    # k_r nears 1 as r -> 0, where sqrt(1 - k^2) cancels; against theta
+    # quotients, an agm for K and mpmath's E at three times the precision
+    for prec in (128, 512):
+        ctx = singular_modulus(r, prec)
+        with mp.workprec(3 * prec):
+            q = mpmath.exp(-mpmath.pi * mpmath.sqrt(mpmath.mpf(r.numerator) / r.denominator))
+            k = (mpmath.jtheta(2, 0, q) / mpmath.jtheta(3, 0, q)) ** 2
+            kp = (mpmath.jtheta(4, 0, q) / mpmath.jtheta(3, 0, q)) ** 2
+            want = (k, kp, mpmath.pi / (2 * mpmath.agm(1, kp)), mpmath.ellipe(k ** 2))
+        for field, w in zip(("k", "kprime", "big_k", "big_e"), want):
+            got = getattr(ctx, field).value
+            assert abs(got - w) <= w * tol_bits(prec, 2), f"prec={prec} field={field}"
 
 
 def test_insufficient_precision_is_loud():

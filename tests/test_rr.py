@@ -105,7 +105,7 @@ def test_w_product_bound_sanity():
 # ------------------------------------------------- Y values (closed forms)
 
 
-@pytest.mark.parametrize("s", [arg for arg, _ in Y_CLOSED_FORMS])
+@pytest.mark.parametrize("s", [arg for arg, *_ in Y_CLOSED_FORMS])
 def test_y_value_against_closed_form(s):
     got = y_value(s, P)
     want = y_closed_form(s, P)

@@ -78,25 +78,21 @@ def test_integer_store_matches_fraction_convolution(p):
 
 
 def test_evaluate_bit_identical_to_fraction_path():
-    # the former evaluate loop on Fraction coefficients: same chunks, same order
+    # the former evaluate loop on Fraction coefficients, in the same order
     prec, terms = 2048, 120
     spec = build_series(3, 7, prec)
     coeffs = _fraction_coefficients(6, terms)
     with mp.workprec(prec + 2 * GUARD + 48):
         bvals = [b.value for b in spec.bracket]
-        total = chunk = mpmath.mpf(0)
+        total = mpmath.mpf(0)
         xn = mpmath.mpf(1)
         for n in range(terms):
             bn = mpmath.mpf(0)
             for b in reversed(bvals):
                 bn = bn * n + b
             c = coeffs[n]
-            chunk += mpmath.mpf(c.numerator) / c.denominator * xn * bn
+            total += mpmath.mpf(c.numerator) / c.denominator * xn * bn
             xn *= spec.x.value
-            if (n + 1) % 32 == 0:
-                total += chunk
-                chunk = mpmath.mpf(0)
-        total += chunk
     assert evaluate(spec, terms, prec).value == round_to(total, prec).value
 
 
