@@ -15,8 +15,8 @@ from .alpha import (AlphaValue, MultiplierValue, alpha_25r, alpha_4r,
                     t5_rr_form, t_sum, triple_modulus_quartic_root)
 from .rr import (RRValue, a_r_algebraic, multiplier5_algebraic,
                  rr_convergents, rr_eval, y_value)
-from .symbolic import (CoefficientSolution, KEPoly, derivative_stack,
-                       diff_u, solve_coefficients, substitute_alpha)
+from .symbolic import (CoefficientSolution, derivative_stack, diff_u,
+                       solve_coefficients, substitute_alpha)
 from .series import (SeriesSpec, VerificationReport,
                      bracket_from_a, build_series, cp, evaluate,
                      from_json, stirling_first, to_json, verify)

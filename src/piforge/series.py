@@ -241,7 +241,8 @@ def _log_tail_majorant(spec: SeriesSpec, n_stop: int) -> float:
     """
     p = 2 * spec.nu
     with mp.workprec(spec.x.prec):
-        gap = 1 - abs(spec.x.value)
+        ax = abs(spec.x.value)
+        gap = 1 - ax
     with mp.workprec(64):
         mags = [abs(b.value) for b in spec.bracket]
         top = max(mags)
@@ -249,8 +250,12 @@ def _log_tail_majorant(spec: SeriesSpec, n_stop: int) -> float:
             return -math.inf
         log_top = float(mpmath.log(top))
         bs = [float(v / top) for v in mags]
-        log_x = float(mpmath.log1p(-gap))
-        log_gap = float(mpmath.log(gap))
+        if ax < mpmath.mpf(2) ** -32:
+            # 1 - |x| rounds to 1 at 64 bits for |x| < 2^-65: take both logs from |x|
+            log_x, log_gap = float(mpmath.log(ax)), float(mpmath.log1p(-ax))
+        else:
+            log_x = float(mpmath.log1p(-gap))
+            log_gap = float(mpmath.log(gap))
     # the window ends by 2 n_stop + 2, so that |x| near 1 cannot force a
     # fill of coefficients far beyond the partial sum's own
     m = n_stop + min(int(_WINDOW_DIGITS * math.log(10) / -log_x) + 2, n_stop + 2)

@@ -22,9 +22,9 @@ z^m = 4^m u^m (1-u)^m cancels the u and 1-u powers, so
 
     z^m F^(m)(z) = (2/pi)^(4nu) P_m / (2^m (1-2u)^(2m)).
 
-KEPoly carries P_m as lists of Python ints in u over that one shared
-denominator: no fraction, gcd or reduction anywhere in the stack. Substituting
-the alpha relation
+Each P_m is plain integer data, a dict mapping (i, j) to the little-endian
+u-coefficients of K^i E^j, over that one shared denominator: no fraction,
+gcd or reduction anywhere in the stack. Substituting the alpha relation
 
     E = K (1 - a(r)/sqrt(r)) + pi/(4 K sqrt(r))
 
@@ -48,7 +48,7 @@ from mpmath import mp
 
 from .alpha import AlphaValue, alpha_from_context
 from .bigreal import BigReal, as_fraction, pi_bits, round_to
-from .elliptic import GUARD, ModulusContext, _ell_ke, singular_modulus
+from .elliptic import GUARD, ModulusContext, singular_modulus
 from .errors import DegenerateSystemError, DomainError, VerificationError
 
 # ---------------------------------------------------------------------------
@@ -56,17 +56,13 @@ from .errors import DegenerateSystemError, DomainError, VerificationError
 # ---------------------------------------------------------------------------
 
 
-def _trim(cs) -> tuple:
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
 def _padd(a, b) -> tuple:
     if len(a) < len(b):
         a, b = b, a
-    return _trim([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
+    out = [x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def _pmul(a, b) -> tuple:
@@ -90,141 +86,52 @@ def _horner(cs, x):
     return v
 
 
-class KEPoly:
-    """Polynomial in the commuting formal symbols K, E over Z[u], divided by
-    one shared denominator in Z[u].
-
-    ``terms`` maps (i, j) to the integer coefficients, little-endian in
-    u = k^2, of K^i E^j (zero entries pruned); ``den`` holds the
-    denominator's coefficients. Nothing is ever reduced, so equality is
-    structural.
-    """
-
-    __slots__ = ("terms", "den")
-
-    def __init__(self, terms: dict | None = None, den=(1,)):
-        self.terms = {key: c for key, c in ((key, _trim(c)) for key, c in (terms or {}).items())
-                      if c}
-        self.den = _trim(den)
-        if not self.den:
-            raise ZeroDivisionError("KEPoly with zero denominator")
-
-    @staticmethod
-    def monomial(i: int, j: int, coeff=(1,)) -> "KEPoly":
-        if i < 0 or j < 0:
-            raise ValueError("exponents must be nonnegative")
-        return KEPoly({(i, j): coeff})
-
-    def _scaled(self, poly) -> dict:
-        return {key: _pmul(c, poly) for key, c in self.terms.items()}
-
-    def __add__(self, o: "KEPoly") -> "KEPoly":
-        if self.den == o.den:
-            a, b, den = self.terms, o.terms, self.den
-        else:
-            a, b, den = self._scaled(o.den), o._scaled(self.den), _pmul(self.den, o.den)
-        out = dict(a)
-        for key, c in b.items():
-            _acc(out, key, c)
-        return KEPoly(out, den)
-
-    def __neg__(self) -> "KEPoly":
-        return KEPoly({key: tuple(-x for x in c) for key, c in self.terms.items()}, self.den)
-
-    def __sub__(self, o: "KEPoly") -> "KEPoly":
-        return self + (-o)
-
-    def __mul__(self, o):
-        if isinstance(o, int):
-            return KEPoly(self._scaled((o,)), self.den)
-        out: dict = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in o.terms.items():
-                _acc(out, (i1 + i2, j1 + j2), _pmul(c1, c2))
-        return KEPoly(out, _pmul(self.den, o.den))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degrees(self) -> set[int]:
-        return {i + j for (i, j) in self.terms}
-
-    def eval_numeric(self, ctx: ModulusContext, prec: int | None = None) -> BigReal:
-        """Numeric value with k, K, E taken from the context."""
-        prec = ctx.prec if prec is None else prec
-        with mp.workprec(prec + GUARD):
-            uv = ctx.k.value ** 2
-        return self._eval(uv, ctx.big_k.value, ctx.big_e.value, prec)
-
-    def eval_at_u(self, u, prec: int) -> BigReal:
-        """Numeric value at an arbitrary u = k^2 in (0,1) (K, E computed)."""
-        ub = u if isinstance(u, BigReal) else BigReal.of(u, prec + GUARD)
-        big_k, big_e = _ell_ke(ub.sqrt(), prec + GUARD)
-        return self._eval(ub.value, big_k.value, big_e.value, prec)
-
-    def _eval(self, uv, Kv, Ev, prec: int) -> BigReal:
-        with mp.workprec(prec + GUARD):
-            v = mpmath.mpf(0)
-            for (i, j), c in self.terms.items():
-                v += _horner(c, uv) * Kv ** i * Ev ** j
-            v /= _horner(self.den, uv)
-        return round_to(v, prec)
-
-    def __eq__(self, o):
-        return isinstance(o, KEPoly) and (self.terms, self.den) == (o.terms, o.den)
-
-    def __repr__(self):
-        body = " + ".join(f"{c} K^{i} E^{j}" for (i, j), c in sorted(self.terms.items()))
-        return f"KEPoly(({body or '0'}) / {self.den})"
-
-
-def diff_u(p: KEPoly) -> KEPoly:
-    """D(p) = 2u(1-u) dp/du for p over Z[u] (denominator 1).
+def diff_u(p: dict) -> dict:
+    """D(p) = 2u(1-u) dp/du for p = {(i, j): u-coefficients of K^i E^j}.
 
     The factor 2u(1-u) clears the denominators of the dK/du and dE/du rules,
     so D(p) is again over Z[u]. D is linear, obeys the product rule and
-    keeps the total (K,E)-degree of every term.
+    keeps the total (K,E)-degree of every term; zero terms are left out.
     """
-    if p.den != (1,):
-        raise ValueError("diff_u takes a KEPoly with denominator 1")
     out: dict = {}
-    for (i, j), c in p.terms.items():
+    for (i, j), c in p.items():
         dc = tuple(x * n for n, x in enumerate(c) if n)
         _acc(out, (i, j), _padd(_pmul((0, 2, -2), dc), _pmul((j - i, i - j), c)))
         if i:
             _acc(out, (i - 1, j + 1), tuple(i * x for x in c))
         if j:
             _acc(out, (i + 1, j - 1), _pmul((-j, j), c))
-    return KEPoly(out)
-
-
-_ONE_MINUS_2U = KEPoly.monomial(0, 0, (1, -2))
+    return {key: c for key, c in out.items() if c}
 
 
 @functools.lru_cache(maxsize=None)
-def derivative_stack(nu: int) -> tuple[KEPoly, ...]:
-    """[z^m (d/dz)^m K^(4nu)] for m = 0..2nu, exact.
+def derivative_stack(nu: int) -> tuple:
+    """[z^m (d/dz)^m K^(4nu)] for m = 0..2nu, exact, as pairs (P_m, den_m).
 
-    Entry m is P_m / (2^m (1-2u)^(2m)) (module docstring). The physical
-    object is (2/pi)^(4nu) times each entry; the prefactor is constant under
-    d/dz, so it is reattached only when g is extracted.
+    Entry m is P_m / den_m with den_m = 2^m (1-2u)^(2m) (module docstring);
+    P_m maps (i, j) to the u-coefficients of K^i E^j, in the order in which
+    the recurrence first meets each term. The physical object is
+    (2/pi)^(4nu) times each entry; the prefactor is constant under d/dz, so
+    it is reattached only when g is extracted.
     """
     if nu < 1:
         raise DomainError(f"nu must be a positive integer, got {nu}")
-    p = KEPoly.monomial(4 * nu, 0)
-    den = (1,)
-    stack = [p]
+    p, den = {(4 * nu, 0): (1,)}, (1,)
+    stack = [(p, den)]
     for m in range(2 * nu):
-        p = diff_u(p) * _ONE_MINUS_2U - p * KEPoly.monomial(0, 0, (2 * m, -16 * m, 16 * m))
-        den = _pmul(den, (2, -8, 8))
-        stack.append(KEPoly(p.terms, den))
+        nxt = {key: _pmul(c, (1, -2)) for key, c in diff_u(p).items()}
+        for key, c in p.items():
+            _acc(nxt, key, _pmul(c, (-2 * m, 16 * m, -16 * m)))
+        p, den = {key: c for key, c in nxt.items() if c}, _pmul(den, (2, -8, 8))
+        stack.append((p, den))
     return tuple(stack)
 
 
-def substitute_alpha(p: KEPoly, ctx: ModulusContext, a: AlphaValue) -> dict:
-    """Replace every E by K (1 - a/sqrt(r)) + pi/(4 K sqrt(r)) and evaluate
-    the coefficients at u = k_r^2: a Laurent polynomial in K, returned as
-    {K-exponent: BigReal coefficient} with zero coefficients left out.
+def substitute_alpha(entry: tuple, ctx: ModulusContext, a: AlphaValue) -> dict:
+    """Replace every E by K (1 - a/sqrt(r)) + pi/(4 K sqrt(r)) in a stack
+    entry (P, den) and evaluate the coefficients at u = k_r^2: a Laurent
+    polynomial in K, returned as {K-exponent: BigReal coefficient} with zero
+    coefficients left out.
 
     Each numerator is evaluated by Horner at u, taken once at the working
     precision; every collected entry is then divided by the one shared
@@ -233,6 +140,7 @@ def substitute_alpha(p: KEPoly, ctx: ModulusContext, a: AlphaValue) -> dict:
     """
     if ctx.r != a.r:
         raise DomainError(f"context is at r={ctx.r} but alpha at r={a.r}")
+    terms, den = entry
     prec = min(ctx.prec, a.prec)
     wprec = prec + 2 * GUARD
     with mp.workprec(wprec):
@@ -241,14 +149,14 @@ def substitute_alpha(p: KEPoly, ctx: ModulusContext, a: AlphaValue) -> dict:
         lam = 1 - a.value.value / sr          # coefficient of K in E
         mu = pi_bits(wprec) / (4 * sr)        # coefficient of 1/K in E
         out: dict = {}
-        for (i, j), c in p.terms.items():
+        for (i, j), c in terms.items():
             cv = _horner(c, uv)
             for t in range(j + 1):
                 e = i + j - 2 * t
                 val = cv * mpmath.binomial(j, t) * lam ** (j - t) * mu ** t
                 out[e] = out.get(e, mpmath.mpf(0)) + val
-        den = _horner(p.den, uv)
-        return {e: round_to(v / den, prec) for e, v in out.items() if v != 0}
+        dv = _horner(den, uv)
+        return {e: round_to(v / dv, prec) for e, v in out.items() if v != 0}
 
 
 def _rcond(M) -> mpmath.mpf:

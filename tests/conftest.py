@@ -48,3 +48,22 @@ def deadline(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, saved)
+
+
+def ke_at_u(terms, u, prec, den=(1,)):
+    """sum c_ij(u) K^i E^j / den(u) as an mpf, for terms = {(i, j): u-coefficients}.
+
+    K and E are ``ell_k`` and ``ell_e`` at k = sqrt(u); u is anything
+    ``BigReal.of`` takes, and the value is good to about 2^(-prec+8).
+    """
+    from piforge import BigReal, ell_e, ell_k
+
+    ub = BigReal.of(u, prec + 16)
+    k = ub.sqrt()
+    big_k, big_e = ell_k(k, prec + 16).value, ell_e(k, prec + 16).value
+    with mp.workprec(prec + 16):
+        def at_u(cs):
+            return sum((c * ub.value ** n for n, c in enumerate(cs)), mpmath.mpf(0))
+
+        return sum((at_u(c) * big_k ** i * big_e ** j for (i, j), c in terms.items()),
+                   mpmath.mpf(0)) / at_u(den)

@@ -274,6 +274,22 @@ def test_tail_majorant_finite_for_argument_near_one():
     assert math.isfinite(rep.threshold_digits)
 
 
+@pytest.mark.parametrize("nu, r, terms", [(1, 246, 14), (3, 300, 13)])
+def test_tail_majorant_finite_for_tiny_argument(nu, r, terms):
+    # |x| < 2^-65: 1 - |x| rounds to 1 at 64 bits, where log(1 - |x|) is -inf
+    # and the threshold came out NaN, a false FAIL of a correct series
+    spec = build_series(nu, r, 1024)
+    assert abs(spec.x.value) < mpmath.mpf(2) ** -65
+    rep = verify(spec, terms, 1024)
+    assert math.isfinite(rep.threshold_digits)
+    assert rep.passed, f"{rep.matched_digits:.2f} vs {rep.threshold_digits:.2f}"
+    # the first omitted term dominates the tail, and the bound still covers it
+    first = evaluate(spec, terms + 1, 1024) - evaluate(spec, terms, 1024)
+    log_first = float(mpmath.log(abs(first.value)))
+    tail = series._log_tail_majorant(spec, spec.n_start + terms)
+    assert log_first - 1e-9 <= tail <= log_first + 0.01
+
+
 def test_argument_near_one_accepted_at_low_ambient_precision():
     # the |x| < 1 test is exact, so it cannot round at the caller's precision
     spec = PI4_R2.to_spec(P)
