@@ -160,6 +160,8 @@ def cmd_series(args) -> int:
         # fill the available precision, keeping a margin, within sane bounds
         terms = int((decimal_digits(prec) - 24) / spec.dpt())
         terms = max(8, min(terms, 400))
+        # but no more than evaluate accepts at this precision
+        terms = max(1, min(terms, int((decimal_digits(prec) + 10) / spec.dpt())))
     report = series.verify(spec, terms, prec)
     doc = {
         "command": "series",

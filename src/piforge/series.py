@@ -7,9 +7,9 @@ sequence C(2n,n)^3:
     N_2 = base * base,    N_p = N_{p-2} * N_2,
 
 so c_2(n) = 2^(-6n) sum_{s=0}^{n} C(2s,s)^3 C(2n-2s,n-s)^3 and c_p is the
-p-fold convolution power of C(2n,n)^3/64^n. Rounding enters only in the
-final accumulation of a partial sum, where each N_p(n) is rounded once to
-the working precision and scaled exactly by 2^(-6n).
+p-fold convolution power of C(2n,n)^3/64^n. Rounding enters only in a
+partial sum, which ``evaluate`` forms in integer fixed point (Brent &
+Zimmermann, *Modern Computer Arithmetic*, 2010, sec. 4) and rounds once.
 
 A SeriesSpec is a fully determined series
 
@@ -36,7 +36,7 @@ from operator import mul
 import mpmath
 from mpmath import mp
 
-from .bigreal import BigReal, as_fraction, decimal_digits, pi_bits, round_to
+from .bigreal import BigReal, as_fraction, decimal_digits, mpf_of, pi_bits, round_to
 from .elliptic import GUARD, singular_modulus
 from .errors import DomainError, InsufficientPrecisionError, NonConvergentSeriesError
 from .symbolic import solve_coefficients
@@ -174,11 +174,12 @@ def build_series(nu: int, r, prec: int) -> SeriesSpec:
 def evaluate(spec: SeriesSpec, terms: int, prec: int | None = None) -> BigReal:
     """Partial sum of ``terms`` consecutive terms starting at spec.n_start.
 
-    Each coefficient is rounded once from its exact integer N_p(n) and
-    scaled by 2^(-6n); x^n and the bracket are accumulated in one running
-    sum at prec + 64 working bits. Raises
-    InsufficientPrecisionError when the truncation target (terms * dpt
-    digits) cannot be represented at ``prec``.
+    Integer fixed point at W = prec + 2 GUARD + 64 fraction bits: x, x^n_start
+    and the B_j are rounded to W bits, B(n) is exact by Horner in n, each term
+    and power of x is truncated to W bits, and the total is rounded once to
+    ``prec``. Before that it is within sum_n (1 + (3n/2 + 1) c_p(n) |B(n)|
+    + c_p(n) |x|^n sum_j n^j / 2) 2^-W, to first order. Raises
+    InsufficientPrecisionError when terms * dpt digits cannot be held at ``prec``.
     """
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
@@ -190,20 +191,19 @@ def evaluate(spec: SeriesSpec, terms: int, prec: int | None = None) -> BigReal:
         raise InsufficientPrecisionError(
             f"{terms} terms promise ~{predicted:.0f} digits but prec={prec} bits "
             f"holds only ~{capacity}", required_bits=need)
-    wprec = prec + 2 * GUARD + 48
+    w = prec + 2 * GUARD + 64
     coeffs = _scaled(2 * spec.nu, spec.n_start + terms - 1)
-    with mp.workprec(wprec):
-        xv = spec.x.value
-        bvals = [b.value for b in spec.bracket]
-        total = mpmath.mpf(0)
-        xn = xv ** spec.n_start
-        for n in range(spec.n_start, spec.n_start + terms):
-            bn = mpmath.mpf(0)
-            for b in reversed(bvals):
-                bn = bn * n + b
-            total += mpmath.ldexp(mpmath.mpf(coeffs[n]), -6 * n) * xn * bn
-            xn *= xv
-    return round_to(total, prec)
+    with mp.workprec(w + 64):     # at the ambient precision these would keep 53 bits
+        big_x, xn, *bs = (int(mpmath.nint(mpmath.ldexp(v, w))) for v in (
+            spec.x.value, spec.x.value ** spec.n_start, *(b.value for b in spec.bracket[::-1])))
+    total = 0
+    for n in range(spec.n_start, spec.n_start + terms):
+        bn = 0
+        for b in bs:
+            bn = bn * n + b
+        total += (coeffs[n] * xn * bn) >> (6 * n + w)
+        xn = (xn * big_x) >> w
+    return round_to(mpmath.ldexp(mpf_of(total, prec), -w), prec)
 
 
 @dataclass(frozen=True)
@@ -274,8 +274,9 @@ def verify(spec: SeriesSpec, terms: int, prec: int | None = None,
            target: BigReal | None = None) -> VerificationReport:
     """Evaluate and compare against the closed form.
 
-    ``matched_digits`` counts agreeing significant digits,
-    -log10(|sum - target| / |target|). The sum passes when it matches at
+    ``matched_digits`` counts agreeing significant digits, -log10 of the
+    ratio |sum - target| / |target| formed at prec + GUARD bits, rounded to
+    128 bits and logged there. The sum passes when it matches at
     least -log10(2 T / |target|) digits, T a majorant of the truncated tail
     (``_log_tail_majorant``), capped 12 digits below what ``prec`` holds.
     """
@@ -284,10 +285,9 @@ def verify(spec: SeriesSpec, terms: int, prec: int | None = None,
     t = spec.target(prec) if target is None else target
     with mp.workprec(prec + GUARD):
         err = abs(s.value - t.value)
-        if err == 0:
-            matched = float(decimal_digits(prec))
-        else:
-            matched = float(-mpmath.log(err / abs(t.value), 10))
+        ratio = err / abs(t.value) if err else err
+    with mp.workprec(128):     # +ratio: see SeriesSpec.dpt on mpmath's log shortcut
+        matched = float(-mpmath.log(+ratio, 10)) if ratio else float(decimal_digits(prec))
     with mp.workprec(64):
         log_target = float(mpmath.log(abs(t.value)))
     tail = _log_tail_majorant(spec, spec.n_start + terms)

@@ -78,6 +78,25 @@ def test_series_verify_passes_where_the_tail_bound_holds(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("prec, r, terms", [("1024", "1000", 7), ("512", "500", 5)])
+def test_series_default_terms_fit_the_precision(capsys, prec, r, terms):
+    # eight terms would promise more digits than prec holds (exit 3)
+    code, out, _ = run(capsys, ["--format", "json", "--prec", prec, "series",
+                                "--nu", "2", "--r", r])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["terms"] == terms
+    assert doc["passed"] is True
+
+
+@pytest.mark.parametrize("prec, terms", [("512", 73), ("4096", 400)])
+def test_series_default_terms_of_the_anchors(capsys, prec, terms):
+    code, out, _ = run(capsys, ["--prec", prec, "series", "--nu", "3", "--r", "7"])
+    assert code == 0
+    assert f"terms = {terms}\n" in out
+    assert "PASS" in out
+
+
 def test_series_verify_failure_exit_code(capsys, monkeypatch):
     # a genuinely wrong sum: one published bracket integer bumped by 2
     from piforge import catalog, series

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 from math import comb
 
@@ -264,6 +265,49 @@ def test_correct_series_pass_under_tail_majorant(r, nu, prec, share):
     assert rep.passed, f"{rep.matched_digits:.2f} vs {rep.threshold_digits:.2f}"
 
 
+def _kernel_reference(spec, terms, prec):
+    """The partial sum at 3 prec, and evaluate's stated error bound at W bits."""
+    w = prec + 2 * GUARD + 64
+    p = 2 * spec.nu
+    coeffs = series._scaled(p, spec.n_start + terms - 1)
+    with mp.workprec(3 * prec):
+        x = spec.x.value
+        bs = [b.value for b in spec.bracket]
+        total, bound, top = mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(0)
+        for n in range(spec.n_start, spec.n_start + terms):
+            c = mpmath.ldexp(mpmath.mpf(coeffs[n]), -6 * n)
+            bn = sum(b * mpmath.mpf(n) ** j for j, b in enumerate(bs))
+            term = c * x ** n * bn
+            total += term
+            top = max(top, abs(term))
+            bound += (1 + (mpmath.mpf(3) * n / 2 + 1) * c * abs(bn)
+                      + c * abs(x) ** n * sum(n ** j for j in range(p + 1)) / 2)
+        # the bound is first order in 2^-W; the reference keeps about 3 prec bits
+        slack = mpmath.ldexp(top * terms, 8 - 3 * prec)
+        return total, mpmath.ldexp(bound, -w) * (1 + mpmath.mpf(2) ** -20) + slack
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(source=st.sampled_from(("solved", "published", "negated")),
+       r=st.sampled_from(PROPERTY_POOL), nu=st.integers(1, 3),
+       entry=st.sampled_from(PUBLISHED_SERIES), prec=st.integers(256, 4096),
+       share=st.floats(0.01, 1.0))
+def test_evaluate_within_stated_error_bound(source, r, nu, entry, prec, share):
+    # no catalog series has x < 0, so "negated" sums c_p(n) (-x)^n B(n) of a
+    # published one: the shifts then floor terms of both signs
+    spec = build_series(nu, r, prec) if source == "solved" else entry.to_spec(prec)
+    if source == "negated":
+        spec = SeriesSpec(nu=spec.nu, r=spec.r, x=-spec.x, bracket=spec.bracket,
+                          g=spec.g, prec=prec)
+    most = min(400, int((decimal_digits(prec) + 10) / spec.dpt()))
+    terms = max(1, int(share * most))
+    got = evaluate(spec, terms, prec).value
+    ref, kernel = _kernel_reference(spec, terms, prec)
+    with mp.workprec(3 * prec):
+        half_ulp = mpmath.ldexp(1, mpmath.mag(got) - prec - 1)
+        assert abs(got - ref) <= half_ulp + kernel
+
+
 def test_tail_majorant_finite_for_argument_near_one():
     # |x| = 1 - 2^-100 rounds to 1 at 64 bits; a stepped ratio bound would
     # never reach its geometric regime there
@@ -316,6 +360,51 @@ def test_dpt_of_argument_just_above_a_quarter():
     x = BigReal.of(Fraction(1, 4), P) + BigReal.of(2, P) ** -257
     near = SeriesSpec(nu=2, r=spec.r, x=x, bracket=spec.bracket, g=spec.g, prec=P)
     assert near.dpt() == pytest.approx(math.log10(4), rel=1e-15, abs=0)
+
+
+def _matched_at_full_precision(s, t, prec):
+    """-log10(|s - t| / |t|) taken at prec + GUARD throughout."""
+    with mp.workprec(prec + GUARD):
+        return float(-mpmath.log(abs(s.value - t.value) / abs(t.value), 10))
+
+
+def test_matched_digits_agree_with_full_precision_log():
+    rng = random.Random(13)
+    for _ in range(16):
+        nu, r = rng.randint(1, 3), rng.choice(PROPERTY_POOL)
+        prec = rng.choice((256, 512, 1024, 2048))
+        spec = build_series(nu, r, prec)
+        terms = rng.randint(1, int((decimal_digits(prec) + 10) / spec.dpt()))
+        rep = verify(spec, terms, prec)
+        want = _matched_at_full_precision(evaluate(spec, terms, prec), spec.target(prec), prec)
+        assert rep.matched_digits == want, (nu, r, prec, terms)
+
+
+def test_matched_digits_when_sum_equals_target():
+    spec = build_series(3, 7, 512)
+    s = evaluate(spec, 40, 512)
+    assert verify(spec, 40, 512, target=s).matched_digits == decimal_digits(512)
+
+
+@pytest.mark.parametrize("prec", [256, 512, 2048])
+def test_matched_digits_for_ratios_with_long_mantissas(prec):
+    # targets whose relative error has a mantissa of about prec + GUARD bits:
+    # one just above a power of ten, and one just above 1/4, where a 128-bit
+    # log of the unrounded ratio takes mpmath's shortcut for x near 1 and
+    # returns about 0 instead of log10(4)
+    spec = build_series(2, 2, prec)
+    s = evaluate(spec, 50, prec)
+    with mp.workprec(prec):
+        near_ten = round_to(s.value / (1 + mpmath.mpf(10) ** -30), prec)
+    rep = verify(spec, 50, prec, target=near_ten)
+    assert rep.matched_digits == _matched_at_full_precision(s, near_ten, prec)
+    assert rep.matched_digits == pytest.approx(30, abs=1e-12)
+    with mp.workprec(prec + GUARD):
+        t = round_to(s.value * 4 / 5 * (1 - mpmath.ldexp(1, -prec)), prec + GUARD)
+        assert 0 < abs(s.value - t.value) / abs(t.value) - mpmath.mpf(1) / 4 < 2.0 ** -200
+    rep = verify(spec, 50, prec, target=t)
+    assert rep.matched_digits == _matched_at_full_precision(s, t, prec)
+    assert rep.matched_digits == pytest.approx(math.log10(4), rel=1e-15)
 
 
 # --------------------------------------------------------- published replay

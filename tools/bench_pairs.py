@@ -19,11 +19,13 @@ per-operation digests of the two sides are identical, and for each side
 ``src.lines`` (the line count of ``src/piforge/*.py``), ``src.lines_by_module``
 (the same count per module, keyed by file stem, so a change's line deltas
 per module can be read off the file), one tier-1 test run
-(``python -m pytest -q`` in its checkout: wall time and passed/failed counts)
+(``python -m pytest -q -rf`` in its checkout: wall time, passed/failed counts and
+the sorted ids of the failed tests, ``failed_ids``)
 and the sha256 of the stdout of ``python3 -m piforge.cli --prec N --format
 json verify`` for N in 512, 2048 and 8192, run in its checkout; all of these
 are taken before the benchmark runs. The top-level ``verify_json_identical``
-says whether the two sides' verify outputs hash the same at every N.
+says whether the two sides' verify outputs hash the same at every N, and
+``tier1_failed_identical`` whether the same tests failed on both sides.
 """
 
 from __future__ import annotations
@@ -63,15 +65,18 @@ def module_lines(tree: Path) -> dict:
 
 
 def tier1(tree: Path) -> dict:
-    """One run of the tier-1 tests in ``tree``: wall time and outcome counts."""
+    """One run of the tier-1 tests in ``tree``: wall time, outcome counts and
+    the ids of the failed tests, sorted."""
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider"],
                           cwd=tree, capture_output=True, text=True)
     wall = time.perf_counter() - start
     summary_line = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     counts = {key: int(m.group(1)) if (m := re.search(rf"(\d+) {key}", summary_line)) else 0
               for key in ("passed", "failed", "error")}
-    return {"wall_s": round(wall, 2), **counts, "summary": summary_line}
+    failed_ids = sorted(m.group(1) for m in re.finditer(r"^FAILED (\S+)", proc.stdout, re.M))
+    return {"wall_s": round(wall, 2), **counts, "failed_ids": failed_ids,
+            "summary": summary_line}
 
 
 def verify_digests(tree: Path) -> dict:
@@ -138,8 +143,10 @@ def main(argv=None) -> int:
                                        "verify_sha256": verify_digests(tree)})
             print(f"{side} tier-1: {doc['sides'][side]['tier1']['summary']}",
                   file=sys.stderr, flush=True)
-        doc["verify_json_identical"] = (doc["sides"]["parent"]["verify_sha256"]
-                                        == doc["sides"]["change"]["verify_sha256"])
+        parent, change = doc["sides"]["parent"], doc["sides"]["change"]
+        doc["verify_json_identical"] = parent["verify_sha256"] == change["verify_sha256"]
+        doc["tier1_failed_identical"] = (parent["tier1"]["failed_ids"]
+                                         == change["tier1"]["failed_ids"])
         for workload in workloads:
             for seed in seeds:
                 runs = {"parent": [], "change": []}
