@@ -37,7 +37,7 @@ import mpmath
 from mpmath import mp
 
 from .bigreal import BigReal, as_fraction, mpf_of, pi_bits, round_to
-from .elliptic import GUARD, ModulusContext, _prec_of, _q_series, nome, singular_modulus
+from .elliptic import GUARD, ModulusContext, _q_series, eta_f, nome, singular_modulus
 from .errors import DomainError, RootSelectionError, VerificationError
 from .rr import rr_eval
 
@@ -174,7 +174,7 @@ def alpha_9r(a_r: AlphaValue, prec: int | None = None) -> AlphaValue:
     return AlphaValue(r=9 * rf, value=round_to(v, prec), route=ROUTE_9R, prec=prec)
 
 
-def eisenstein_p(q, prec: int | None = None) -> BigReal:
+def eisenstein_p(q, prec: int) -> BigReal:
     """Weight-2 Eisenstein value P(q) = 1 - 24 sum_{n>=1} n q^n/(1-q^n).
 
     Evaluated as P = 1 + 24 q f'(q)/f(q) with Euler's pentagonal series
@@ -182,7 +182,6 @@ def eisenstein_p(q, prec: int | None = None) -> BigReal:
     theta series is cut at the first term below 2^(-prec-8), and both keep
     their relative accuracy up to q -> 1.
     """
-    prec = _prec_of(prec, q)
     wprec = prec + 2 * GUARD
     with mp.workprec(wprec):
         qv = mpf_of(q, wprec)
@@ -237,8 +236,6 @@ def t5_eta_form(r, prec: int) -> BigReal:
     it and is off by exactly that factor); the regression test keeps the
     measured ratio pinned.
     """
-    from .elliptic import eta_f
-
     rf = as_fraction(r)
     wprec = prec + 2 * GUARD
     q = nome(rf, wprec)

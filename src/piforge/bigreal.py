@@ -92,17 +92,7 @@ class BigReal:
     @staticmethod
     def of(x, prec: int) -> "BigReal":
         """Build a BigReal at ``prec`` bits from an int, Fraction, str, mpf, or BigReal."""
-        prec = _check_prec(prec)
-        with mp.workprec(prec):
-            if isinstance(x, BigReal):
-                v = +x.value
-            elif isinstance(x, Fraction):
-                v = mpmath.mpf(x.numerator) / x.denominator
-            elif isinstance(x, (int, str, float, mpmath.mpf)):
-                v = mpmath.mpf(x)
-            else:
-                raise TypeError(f"cannot build BigReal from {type(x).__name__}")
-        return BigReal(v, prec)
+        return round_to(mpf_of(x, prec), prec)
 
     @staticmethod
     def pi(prec: int) -> "BigReal":
@@ -148,15 +138,10 @@ class BigReal:
         return self._bin(other, lambda a, b: b / a)
 
     def __pow__(self, n):
-        if isinstance(n, int):
-            with mp.workprec(self.prec):
-                return BigReal(self.value ** n, self.prec)
-        o = self._coerce(n)
-        if o is None:
+        if not isinstance(n, int):
             return NotImplemented
-        p = max(self.prec, o.prec)
-        with mp.workprec(p):
-            return BigReal(self.value ** o.value, p)
+        with mp.workprec(self.prec):
+            return BigReal(self.value ** n, self.prec)
 
     def __neg__(self):
         with mp.workprec(self.prec):

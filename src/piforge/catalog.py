@@ -28,7 +28,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from .bigreal import BigReal, pi_bits, round_to
+from .bigreal import BigReal, decimal_digits, pi_bits, round_to
 from .elliptic import GUARD
 from .errors import DomainError
 from .rr import y_value
@@ -187,13 +187,13 @@ def published_by_label(label: str) -> PublishedSeries:
     raise DomainError(f"unknown published series {label!r}")
 
 
-def perturbed(entry: PublishedSeries, j: int, delta: int = 1) -> PublishedSeries:
+def perturbed(entry: PublishedSeries, j: int) -> PublishedSeries:
     """Copy of ``entry`` with the rational part of bracket coefficient j
-    shifted by ``delta`` in its published integer numeration (sentinel for
-    the sensitivity test)."""
+    shifted by 1 in its published integer numeration (sentinel for the
+    sensitivity test)."""
     b = list(entry.bracket)
     old = b[j]
-    b[j] = QuadSurd(old.a + delta, old.b, old.d)
+    b[j] = QuadSurd(old.a + 1, old.b, old.d)
     return replace(entry, bracket=tuple(b), label=entry.label + "-corrupted")
 
 
@@ -207,8 +207,6 @@ def replay_published(prec: int) -> list[VerificationReport]:
     the library's AGM-computed value; the test suite repeats the comparison
     with an independently computed pi.
     """
-    from .bigreal import decimal_digits
-
     out = []
     capacity = decimal_digits(prec)
     for entry in PUBLISHED_SERIES:

@@ -65,7 +65,7 @@ def _fmt(x, prec: int) -> str:
 
 def _emit(doc: dict, args, text_lines: list[str]) -> None:
     if args.format == "json":
-        doc["schema"] = "piforge/1"
+        doc["schema"] = series.SCHEMA
         print(json.dumps(doc, sort_keys=True))
     else:
         for line in text_lines:

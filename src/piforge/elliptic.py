@@ -2,7 +2,7 @@
 
 Conventions. Every operation takes the *modulus* k, never the parameter
 m = k^2 (software libraries that write EllipticK[m] expect m; here
-``ell_k(k)`` corresponds to EllipticK[k^2]). The complementary modulus is
+``ell_k(k, prec)`` corresponds to EllipticK[k^2]). The complementary modulus is
 k' = sqrt(1 - k^2). The singular modulus k_r is the unique k in (0,1) with
 K(k')/K(k) = sqrt(r); it is computed from theta constants at the nome
 q = exp(-pi*sqrt(r)).
@@ -40,22 +40,12 @@ GUARD = 8
 MINIMUM_HEADROOM = 64
 
 
-def _prec_of(prec, *xs):
-    if prec is not None:
-        return int(prec)
-    ps = [x.prec for x in xs if isinstance(x, BigReal)]
-    if ps:
-        return max(ps)
-    raise ValueError("precision required when no BigReal argument is given")
-
-
-def agm(a, b, prec: int | None = None) -> BigReal:
+def agm(a, b, prec: int) -> BigReal:
     """Common limit of the arithmetic-geometric iteration of (a, b).
 
     Terminates once |a_n - b_n| < 2^(-prec) * a_n; quadratic convergence
     makes the returned midpoint accurate to 2^(-prec+4). Requires a, b > 0.
     """
-    prec = _prec_of(prec, a, b)
     wprec = prec + GUARD
     with mp.workprec(wprec):
         av, bv = mpf_of(a, wprec), mpf_of(b, wprec)
@@ -72,7 +62,6 @@ def _ell_ke(k, prec) -> tuple[BigReal, BigReal]:
     Both are accurate to 2^(-prec+8); requires 0 <= k < 1. Raises
     InsufficientPrecisionError when k' rounds to 0 at the working precision.
     """
-    prec = _prec_of(prec, k)
     wprec = prec + 2 * GUARD
     with mp.workprec(wprec):
         kv = mpf_of(k, wprec)
@@ -91,7 +80,7 @@ def _ell_ke(k, prec) -> tuple[BigReal, BigReal]:
     return round_to(big_k, prec), round_to(big_e, prec)
 
 
-def ell_k(k, prec: int | None = None) -> BigReal:
+def ell_k(k, prec: int) -> BigReal:
     """Complete elliptic integral of the first kind, K(k) = pi/(2 agm(1, k')).
 
     Modulus convention: equals EllipticK[k^2] in parameter-based libraries.
@@ -100,7 +89,7 @@ def ell_k(k, prec: int | None = None) -> BigReal:
     return _ell_ke(k, prec)[0]
 
 
-def ell_e(k, prec: int | None = None) -> BigReal:
+def ell_e(k, prec: int) -> BigReal:
     """Complete elliptic integral of the second kind via the AGM side sum.
 
     E = K * (1 - sum_{n>=0} 2^(n-1) c_n^2) where c_n are the AGM difference
@@ -163,7 +152,6 @@ def _q_series(qv: mpmath.mpf, a: int, b: int, sign: int, prec: int, deriv: bool 
 
 def _theta(q, prec, b, sign) -> BigReal:
     # theta3/theta4 = S(2, 0, +-1); theta2 = q^(1/4) S(2, 2, +1)
-    prec = _prec_of(prec, q)
     wprec = prec + 2 * GUARD
     with mp.workprec(wprec):
         qv = mpf_of(q, wprec)
@@ -174,28 +162,27 @@ def _theta(q, prec, b, sign) -> BigReal:
     return round_to(out, prec)
 
 
-def theta2(q, prec: int | None = None) -> BigReal:
+def theta2(q, prec: int) -> BigReal:
     """theta_2(q) = 2 sum_{n>=0} q^((n+1/2)^2), accurate to 2^(-prec+8)."""
     return _theta(q, prec, 2, 1)
 
 
-def theta3(q, prec: int | None = None) -> BigReal:
+def theta3(q, prec: int) -> BigReal:
     """theta_3(q) = 1 + 2 sum_{n>=1} q^(n^2), accurate to 2^(-prec+8)."""
     return _theta(q, prec, 0, 1)
 
 
-def theta4(q, prec: int | None = None) -> BigReal:
+def theta4(q, prec: int) -> BigReal:
     """theta_4(q) = 1 + 2 sum_{n>=1} (-1)^n q^(n^2), accurate to 2^(-prec+8)."""
     return _theta(q, prec, 0, -1)
 
 
-def eta_f(q, prec: int | None = None) -> BigReal:
+def eta_f(q, prec: int) -> BigReal:
     """Euler product f(-q) = prod_{n>=1} (1 - q^n) for 0 <= q < 1.
 
     Summed as Euler's pentagonal series sum_{n in Z} (-1)^n q^(n(3n-1)/2),
     accurate to 2^(-prec+8) relative on the whole domain.
     """
-    prec = _prec_of(prec, q)
     wprec = prec + 2 * GUARD
     with mp.workprec(wprec):
         qv = mpf_of(q, wprec)

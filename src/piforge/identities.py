@@ -20,7 +20,7 @@ from mpmath import mp
 from .alpha import (alpha_direct, eisenstein_p, multiplier,
                     multiplier_quintic_residual, t5_closed_form, t5_eta_form,
                     t5_rr_form, t_sum)
-from .bigreal import BigReal, as_fraction, pi_bits, round_to
+from .bigreal import BigReal, as_fraction, decimal_digits, pi_bits, round_to
 from .elliptic import GUARD, eta_f, singular_modulus
 from .rr import multiplier5_algebraic
 
@@ -145,8 +145,6 @@ def identity_battery(prec: int):
     The gate is 60 decimal digits, scaled down when the working precision
     cannot hold that many.
     """
-    from .bigreal import decimal_digits
-
     gate_digits = min(60, decimal_digits(prec) - 16)
     gate = mpmath.mpf(10) ** (-gate_digits)
     rows = []

@@ -27,7 +27,7 @@ import mpmath
 from mpmath import mp
 
 from .bigreal import BigReal, as_fraction, mpf_of, round_to
-from .elliptic import GUARD, ModulusContext, _prec_of, _q_series, nome, singular_modulus
+from .elliptic import GUARD, ModulusContext, _q_series, nome, singular_modulus
 from .errors import DomainError
 
 # Calibration of Y = A/NORM against Y(1/5) = 5*sqrt(5)/8; the rejected
@@ -45,7 +45,7 @@ class RRValue:
     prec: int
 
 
-def rr_eval(q, prec: int | None = None) -> RRValue:
+def rr_eval(q, prec: int) -> RRValue:
     """Evaluate R(q) for 0 < q < 1 as a quotient of two theta series, and A.
 
     R(q) = q^(1/5) f(-q, -q^4)/f(-q^2, -q^3), and by the Jacobi triple
@@ -59,7 +59,6 @@ def rr_eval(q, prec: int | None = None) -> RRValue:
     f(-q^5) = sum_{n in Z} (-1)^n q^(5n(3n-1)/2) is summed in q itself, so
     q^5 is never rounded. A is accurate to 2^(-prec+8) relative either way.
     """
-    prec = _prec_of(prec, q)
     wprec = prec + 2 * GUARD
     with mp.workprec(wprec):
         qv = mpf_of(q, wprec)

@@ -37,7 +37,7 @@ import mpmath
 from mpmath import mp
 
 from .bigreal import BigReal, as_fraction, decimal_digits, mpf_of, pi_bits, round_to
-from .elliptic import GUARD, singular_modulus
+from .elliptic import GUARD
 from .errors import DomainError, InsufficientPrecisionError, NonConvergentSeriesError
 from .symbolic import solve_coefficients
 
@@ -110,7 +110,7 @@ def bracket_from_a(a_coeffs, nu: int):
                 continue
             term = a_coeffs[m] * s
             acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else a_coeffs[0] * 0)
+        out.append(acc)
     return out
 
 
@@ -148,30 +148,25 @@ class SeriesSpec:
         with mp.workprec(64 - min(0, mpmath.mag(1 - ax))):
             return float(-mpmath.log(+ax, 10))
 
-    def target(self, prec: int | None = None) -> BigReal:
+    def target(self, prec: int) -> BigReal:
         """g / pi^(2nu) at the requested precision (library pi)."""
-        prec = self.prec if prec is None else prec
         with mp.workprec(prec + GUARD):
             v = self.g.value / pi_bits(prec + GUARD) ** (2 * self.nu)
         return round_to(v, prec)
 
 
 def build_series(nu: int, r, prec: int) -> SeriesSpec:
-    """Full pipeline: context, alpha, coefficient solve, bracket conversion."""
-    rf = as_fraction(r)
-    ctx = singular_modulus(rf, prec + 2 * GUARD)
-    x = ctx.series_argument()
-    if not -1 < x.value < 1:
-        raise NonConvergentSeriesError(
-            f"series argument x = {mpmath.nstr(x.value, 8)} at r={rf} does not converge")
-    sol = solve_coefficients(nu, rf, prec)
-    bracket = tuple(bracket_from_a(list(sol.a_coeffs), nu))
-    return SeriesSpec(nu=nu, r=rf, x=round_to(x.value, prec), bracket=bracket,
+    """Full pipeline: solve, then bracket conversion.
+
+    x, g and the A-coefficients all come from the solve's one context.
+    """
+    sol = solve_coefficients(nu, r, prec)
+    return SeriesSpec(nu=nu, r=sol.r, x=sol.x, bracket=tuple(bracket_from_a(sol.a_coeffs, nu)),
                       g=sol.g, prec=prec, provenance="solved",
-                      label=f"solved nu={nu} r={rf}")
+                      label=f"solved nu={nu} r={sol.r}")
 
 
-def evaluate(spec: SeriesSpec, terms: int, prec: int | None = None) -> BigReal:
+def evaluate(spec: SeriesSpec, terms: int, prec: int) -> BigReal:
     """Partial sum of ``terms`` consecutive terms starting at spec.n_start.
 
     Integer fixed point at W = prec + 2 GUARD + 64 fraction bits: x, x^n_start
@@ -183,7 +178,6 @@ def evaluate(spec: SeriesSpec, terms: int, prec: int | None = None) -> BigReal:
     """
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
-    prec = spec.prec if prec is None else prec
     predicted = terms * spec.dpt()
     capacity = decimal_digits(prec)
     if predicted > capacity + 10:
@@ -270,7 +264,7 @@ def _log_tail_majorant(spec: SeriesSpec, n_stop: int) -> float:
     return log_top + peak + math.log(sum(math.exp(v - peak) for v in logs))
 
 
-def verify(spec: SeriesSpec, terms: int, prec: int | None = None,
+def verify(spec: SeriesSpec, terms: int, prec: int,
            target: BigReal | None = None) -> VerificationReport:
     """Evaluate and compare against the closed form.
 
@@ -280,7 +274,6 @@ def verify(spec: SeriesSpec, terms: int, prec: int | None = None,
     least -log10(2 T / |target|) digits, T a majorant of the truncated tail
     (``_log_tail_majorant``), capped 12 digits below what ``prec`` holds.
     """
-    prec = spec.prec if prec is None else prec
     s = evaluate(spec, terms, prec)
     t = spec.target(prec) if target is None else target
     with mp.workprec(prec + GUARD):

@@ -49,7 +49,8 @@ from mpmath import mp
 from .alpha import AlphaValue, alpha_from_context
 from .bigreal import BigReal, as_fraction, pi_bits, round_to
 from .elliptic import GUARD, ModulusContext, singular_modulus
-from .errors import DegenerateSystemError, DomainError, VerificationError
+from .errors import (DegenerateSystemError, DomainError, NonConvergentSeriesError,
+                     VerificationError)
 
 # ---------------------------------------------------------------------------
 # integer polynomials in u (little-endian coefficient tuples)
@@ -171,14 +172,16 @@ def _rcond(M) -> mpmath.mpf:
 class CoefficientSolution:
     """Solved A-coefficients for one (nu, r): A[0] = 1, len(A) = 2nu+1.
 
-    ``residual`` is the largest leftover K-power coefficient after the
-    solve (the quantities that the construction forces to vanish);
-    ``rank`` is the size of the solved square system and ``rcond`` its
-    reciprocal 1-norm condition number.
+    ``x`` is the series argument 4 k_r^2 k'_r^2 of the context the solve
+    ran on, rounded to ``prec``. ``residual`` is the largest leftover
+    K-power coefficient after the solve (the quantities that the
+    construction forces to vanish); ``rank`` is the size of the solved
+    square system and ``rcond`` its reciprocal 1-norm condition number.
     """
 
     nu: int
     r: Rational
+    x: BigReal
     a_coeffs: tuple
     g: BigReal
     residual: BigReal
@@ -195,7 +198,9 @@ def solve_coefficients(nu: int, r, prec: int) -> CoefficientSolution:
     K-power (A_0 = 1). The solve loses about L = -log2(rcond) bits to the
     system's reciprocal condition number rcond; when L passes 6*GUARD, the
     context, alpha, substitution and solve are taken once more with L extra
-    bits. Raises DomainError for r <= 1, DegenerateSystemError when rcond
+    bits. The series argument x = 4 k_r^2 k'_r^2 is read off the same
+    context. Raises NonConvergentSeriesError (a DomainError) at r = 1, where
+    x = 1, DomainError for other r < 1, DegenerateSystemError when rcond
     falls below 2^(-wprec/2) at the working precision wprec, and
     VerificationError when the residual of the eliminated coefficients does
     not come out below 2^(-prec+48).
@@ -203,9 +208,11 @@ def solve_coefficients(nu: int, r, prec: int) -> CoefficientSolution:
     if nu not in (1, 2, 3):
         raise DomainError(f"nu must be in {{1, 2, 3}}, got {nu}")
     rf = as_fraction(r)
+    if rf <= 0:
+        raise DomainError(f"r must be positive, got {rf}")
     if rf == 1:
-        raise DomainError("r = 1 sits on the branch point z = 1 (dz/dk = 0); "
-                          "no convergent series exists there")
+        raise NonConvergentSeriesError("r = 1 sits on the branch point z = 1 (dz/dk = 0); "
+                                       "no convergent series exists there")
     if rf < 1:
         raise DomainError(f"r = {rf} puts k_r^2 above 1/2, where the construction does "
                           f"not apply; r = {1 / rf} gives the same x")
@@ -264,6 +271,7 @@ def solve_coefficients(nu: int, r, prec: int) -> CoefficientSolution:
     return CoefficientSolution(
         nu=nu,
         r=rf,
+        x=round_to(ctx.series_argument().value, prec),
         a_coeffs=tuple(round_to(v, prec) for v in a_coeffs),
         g=round_to(g, prec),
         residual=round_to(residual, prec),

@@ -15,7 +15,8 @@ from mpmath import mp
 from piforge import (BigReal, DomainError, InsufficientPrecisionError,
                      NonConvergentSeriesError, SeriesSpec, bracket_from_a,
                      build_series, cp, evaluate, from_json,
-                     replay_published, series, stirling_first, to_json, verify)
+                     replay_published, series, singular_modulus,
+                     solve_coefficients, stirling_first, to_json, verify)
 from piforge.bigreal import decimal_digits, round_to
 from piforge.catalog import (PI4_R2, PI6_R2, PI6_R7, PUBLISHED_SERIES,
                              perturbed, published_by_label)
@@ -194,9 +195,26 @@ def test_build_series_r15_argument():
     assert abs((spec.x - want).value) < tol_bits(P, 16)
 
 
-def test_build_series_rejects_r1():
+@pytest.mark.parametrize("prec", [64, 256, 512, 2048])
+def test_build_series_rejects_r1(prec):
+    # x = 1 exactly at r = 1; the error must not depend on how x rounds
     with pytest.raises(NonConvergentSeriesError):
-        build_series(2, 1, P)
+        build_series(2, 1, prec)
+
+
+@pytest.mark.parametrize("r", [0, -3, "-7/2"])
+def test_build_series_rejects_nonpositive_r(r):
+    with pytest.raises(DomainError, match="must be positive"):
+        build_series(1, r, P)
+
+
+@pytest.mark.parametrize("prec", [256, 1024, 4096])
+@pytest.mark.parametrize("r", ["7/2", "13/2", "29/2", 2, 7, 58])
+def test_solved_x_matches_a_context_of_its_own(r, prec):
+    # the solve's context (prec + 8 GUARD) gives x bit for bit as a
+    # context at prec + 2 GUARD does, both rounded to prec
+    ref = singular_modulus(r, prec + 2 * GUARD).series_argument().value
+    assert solve_coefficients(1, r, prec).x == round_to(ref, prec)
 
 
 def test_solved_matches_published_termwise_r7():

@@ -22,10 +22,13 @@ per module can be read off the file), one tier-1 test run
 (``python -m pytest -q -rf`` in its checkout: wall time, passed/failed counts and
 the sorted ids of the failed tests, ``failed_ids``)
 and the sha256 of the stdout of ``python3 -m piforge.cli --prec N --format
-json verify`` for N in 512, 2048 and 8192, run in its checkout; all of these
-are taken before the benchmark runs. The top-level ``verify_json_identical``
-says whether the two sides' verify outputs hash the same at every N, and
-``tier1_failed_identical`` whether the same tests failed on both sides.
+json verify`` for N in 512, 2048 and 8192, run in its checkout, and
+``cli_sha256``, the sha256 of the stdout, stderr and exit code of each command
+in ``CLI_COMMANDS``, in text and in JSON; all of these are taken before the
+benchmark runs. The top-level ``verify_json_identical`` says whether the two
+sides' verify outputs hash the same at every N, ``cli_outputs_identical``
+whether every CLI command's outputs do, and ``tier1_failed_identical``
+whether the same tests failed on both sides.
 """
 
 from __future__ import annotations
@@ -45,6 +48,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("cli_cold", "battery", "evaluate_warm")
 VERIFY_PRECS = (512, 2048, 8192)
+# piforge arguments whose outputs are hashed, each with --format text and json:
+# the cli_cold anchors, solved series, default term counts at large r, a
+# context, the three alpha routes and three error paths
+CLI_COMMANDS = (
+    "--prec 512 series --nu 3 --r 7",
+    "--prec 4096 series --nu 3 --r 7",
+    "--prec 2048 series --nu 1 --r 13/2 --terms 24",
+    "--prec 1024 series --nu 2 --r 29/2 --terms 24",
+    "--prec 512 series --nu 3 --r 9/2 --terms 24",
+    "--prec 1024 series --nu 2 --r 1000",
+    "--prec 1024 series --nu 1 --r 246",
+    "--prec 3072 modulus 14",
+    "--prec 1024 alpha 58 --route 4r",
+    "--prec 1024 alpha 117/2 --route 9r",
+    "--prec 1024 alpha 375/2 --route 25r",
+    "--prec 512 series --nu 2 --r 1 --terms 5",
+    "--prec 512 series --nu 1 --r 3",
+    "--prec 512 series --nu 2 --r 1/2",
+)
 
 
 def export(rev: str, dest: Path) -> str:
@@ -86,6 +108,20 @@ def verify_digests(tree: Path) -> dict:
         [sys.executable, "-m", "piforge.cli", "--prec", str(prec), "--format", "json", "verify"],
         cwd=tree, env=env, check=True, capture_output=True).stdout).hexdigest()
         for prec in VERIFY_PRECS}
+
+
+def cli_digests(tree: Path) -> dict:
+    """sha256 of the stdout, stderr and exit code of each of ``CLI_COMMANDS``,
+    keyed by format and arguments."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    out = {}
+    for fmt in ("text", "json"):
+        for command in CLI_COMMANDS:
+            proc = subprocess.run([sys.executable, "-m", "piforge.cli", "--format", fmt,
+                                   *command.split()], cwd=tree, env=env, capture_output=True)
+            out[f"{fmt}: {command}"] = hashlib.sha256(b"\n--\n".join(
+                (proc.stdout, proc.stderr, str(proc.returncode).encode()))).hexdigest()
+    return out
 
 
 def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, list]:
@@ -140,11 +176,13 @@ def main(argv=None) -> int:
             lines = module_lines(tree)
             doc["sides"][side].update({"src.lines": sum(lines.values()),
                                        "src.lines_by_module": lines, "tier1": tier1(tree),
-                                       "verify_sha256": verify_digests(tree)})
+                                       "verify_sha256": verify_digests(tree),
+                                       "cli_sha256": cli_digests(tree)})
             print(f"{side} tier-1: {doc['sides'][side]['tier1']['summary']}",
                   file=sys.stderr, flush=True)
         parent, change = doc["sides"]["parent"], doc["sides"]["change"]
         doc["verify_json_identical"] = parent["verify_sha256"] == change["verify_sha256"]
+        doc["cli_outputs_identical"] = parent["cli_sha256"] == change["cli_sha256"]
         doc["tier1_failed_identical"] = (parent["tier1"]["failed_ids"]
                                          == change["tier1"]["failed_ids"])
         for workload in workloads:
