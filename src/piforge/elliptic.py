@@ -2,10 +2,10 @@
 
 Conventions. Every operation takes the *modulus* k, never the parameter
 m = k^2 (software libraries that write EllipticK[m] expect m; here
-``ell_k(k, prec)`` corresponds to EllipticK[k^2]). The complementary modulus is
-k' = sqrt(1 - k^2). The singular modulus k_r is the unique k in (0,1) with
-K(k')/K(k) = sqrt(r); it is computed from theta constants at the nome
-q = exp(-pi*sqrt(r)).
+``ell_k(k, prec)`` corresponds to EllipticK[k^2]), and its precision
+``prec`` in bits. The complementary modulus is k' = sqrt(1 - k^2). The
+singular modulus k_r is the unique k in (0,1) with K(k')/K(k) = sqrt(r); it
+is computed from theta constants at the nome q = exp(-pi*sqrt(r)).
 
 Error model. Each operation carries guard bits beyond the requested
 precision, so a returned BigReal at ``prec`` bits is accurate to a few ulps:
