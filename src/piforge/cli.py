@@ -31,6 +31,7 @@ from .bigreal import BigReal, as_fraction, decimal_digits
 from .elliptic import GUARD, singular_modulus
 from .errors import (DomainError, InsufficientPrecisionError, PiforgeError,
                      VerificationError)
+from .identities import identity_battery
 
 DEFAULT_PREC = 512
 
@@ -206,8 +207,6 @@ def _verify_items(prec: int):
     identity, 60 for the identity suite), scaled down proportionally when
     the precision cannot hold them.
     """
-    from .identities import identity_battery
-
     capacity = decimal_digits(prec)
     items = []
     for rep in catalog.replay_published(prec):

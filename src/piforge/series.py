@@ -8,8 +8,9 @@ sequence C(2n,n)^3:
 
 so c_2(n) = 2^(-6n) sum_{s=0}^{n} C(2s,s)^3 C(2n-2s,n-s)^3 and c_p is the
 p-fold convolution power of C(2n,n)^3/64^n. Rounding enters only in a
-partial sum, which ``evaluate`` forms in integer fixed point (Brent &
-Zimmermann, *Modern Computer Arithmetic*, 2010, sec. 4) and rounds once.
+partial sum, which ``evaluate`` forms as blocked column sums in integer
+fixed point (Smith, Math. Comp. 52, 1989; Brent & Zimmermann, *Modern
+Computer Arithmetic*, 2010, sec. 4.4.3) and rounds once.
 
 A SeriesSpec is a fully determined series
 
@@ -169,11 +170,17 @@ def build_series(nu: int, r, prec: int) -> SeriesSpec:
 def evaluate(spec: SeriesSpec, terms: int, prec: int) -> BigReal:
     """Partial sum of ``terms`` consecutive terms starting at spec.n_start.
 
-    Integer fixed point at W = prec + 2 GUARD + 64 fraction bits: x, x^n_start
-    and the B_j are rounded to W bits, B(n) is exact by Horner in n, each term
-    and power of x is truncated to W bits, and the total is rounded once to
-    ``prec``. Before that it is within sum_n (1 + (3n/2 + 1) c_p(n) |B(n)|
-    + c_p(n) |x|^n sum_j n^j / 2) 2^-W, to first order. Raises
+    Blocked column sums in integer fixed point at W = prec + 2 GUARD + 64
+    fraction bits: sum_j B_j S_j, S_j = sum_n c_p(n) n^j x^n. Term
+    n = n_start + k m + i, i < m = min(terms, isqrt((2nu + 1) terms) + 1), adds
+    t = N_p(n) x^i 2^-6n, one short product, times n^j to column j of block k,
+    whose columns are then multiplied by g = x^(n_start + k m). x, x^n_start,
+    x^m and the B_j are rounded to W bits, x^i, g, t and the block products
+    truncated, and the total rounded once to ``prec``. Before that it is within
+    1 + K sum_j |B_j| + sum_n ((|x|^(n-i) + (3(i + k) + 1)/2 c_p(n)) |B(n)|
+    + c_p(n) |x|^n sum_j n^j / 2) units of 2^-W over K blocks, to first order:
+    x^i drifts by 3i/2 units and g by (3k + 1)/2, t loses |g B(n)|, each block
+    add 1 per column and the total 1, and rounding B_j adds |S_j|/2. Raises
     InsufficientPrecisionError when terms * dpt digits cannot be held at ``prec``.
     """
     if terms < 1:
@@ -186,18 +193,26 @@ def evaluate(spec: SeriesSpec, terms: int, prec: int) -> BigReal:
             f"{terms} terms promise ~{predicted:.0f} digits but prec={prec} bits "
             f"holds only ~{capacity}", required_bits=need)
     w = prec + 2 * GUARD + 64
+    m = min(terms, math.isqrt(len(spec.bracket) * terms) + 1)
     coeffs = _scaled(2 * spec.nu, spec.n_start + terms - 1)
+    x = spec.x.value
     with mp.workprec(w + 64):     # at the ambient precision these would keep 53 bits
-        big_x, xn, *bs = (int(mpmath.nint(mpmath.ldexp(v, w))) for v in (
-            spec.x.value, spec.x.value ** spec.n_start, *(b.value for b in spec.bracket[::-1])))
-    total = 0
-    for n in range(spec.n_start, spec.n_start + terms):
-        bn = 0
-        for b in bs:
-            bn = bn * n + b
-        total += (coeffs[n] * xn * bn) >> (6 * n + w)
-        xn = (xn * big_x) >> w
-    return round_to(mpmath.ldexp(mpf_of(total, prec), -w), prec)
+        big_x, g, step, *bs = (int(mpmath.nint(mpmath.ldexp(v, w))) for v in (
+            x, x ** spec.n_start, x ** m, *(b.value for b in spec.bracket)))
+    powers = [1 << w]
+    for _ in range(m - 1):
+        powers.append((powers[-1] * big_x) >> w)
+    cols = [0] * len(bs)
+    for first in range(spec.n_start, spec.n_start + terms, m):
+        block = [0] * len(bs)
+        for n, xi in zip(range(first, min(first + m, spec.n_start + terms)), powers):
+            t = (coeffs[n] * xi) >> (6 * n)
+            for j in range(len(bs)):
+                block[j] += t
+                t *= n
+        cols = [c + ((b * g) >> w) for c, b in zip(cols, block)]
+        g = (g * step) >> w
+    return round_to(mpmath.ldexp(mpf_of(sum(map(mul, cols, bs)) >> w, prec), -w), prec)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from math import comb
 from numbers import Rational
 
 import mpmath
@@ -154,7 +155,7 @@ def substitute_alpha(entry: tuple, ctx: ModulusContext, a: AlphaValue) -> dict:
             cv = _horner(c, uv)
             for t in range(j + 1):
                 e = i + j - 2 * t
-                val = cv * mpmath.binomial(j, t) * lam ** (j - t) * mu ** t
+                val = cv * comb(j, t) * lam ** (j - t) * mu ** t
                 out[e] = out.get(e, mpmath.mpf(0)) + val
         dv = _horner(den, uv)
         return {e: round_to(v / dv, prec) for e, v in out.items() if v != 0}

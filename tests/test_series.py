@@ -1,5 +1,6 @@
 """Coefficients, brackets, series construction, evaluation, replay, JSON."""
 
+import dataclasses
 import json
 import math
 import random
@@ -17,7 +18,7 @@ from piforge import (BigReal, DomainError, InsufficientPrecisionError,
                      build_series, cp, evaluate, from_json,
                      replay_published, series, singular_modulus,
                      solve_coefficients, stirling_first, to_json, verify)
-from piforge.bigreal import decimal_digits, round_to
+from piforge.bigreal import decimal_digits, mpf_of, round_to
 from piforge.catalog import (PI4_R2, PI6_R2, PI6_R7, PUBLISHED_SERIES,
                              perturbed, published_by_label)
 from piforge.elliptic import GUARD
@@ -96,6 +97,56 @@ def test_evaluate_bit_identical_to_fraction_path():
             total += mpmath.mpf(c.numerator) / c.denominator * xn * bn
             xn *= spec.x.value
     assert evaluate(spec, terms, prec).value == round_to(total, prec).value
+
+
+def _block_length(nu, terms):
+    """The block length m of evaluate's column sums."""
+    return min(terms, math.isqrt((2 * nu + 1) * terms) + 1)
+
+
+def _per_term_reference(spec, terms, prec):
+    """The former evaluate loop: per term, two W-bit products, c_p(n) x^n B(n) and x^n x."""
+    w = prec + 2 * GUARD + 64
+    coeffs = series._scaled(2 * spec.nu, spec.n_start + terms - 1)
+    with mp.workprec(w + 64):
+        big_x, xn, *bs = (int(mpmath.nint(mpmath.ldexp(v, w))) for v in (
+            spec.x.value, spec.x.value ** spec.n_start, *(b.value for b in spec.bracket[::-1])))
+    total = 0
+    for n in range(spec.n_start, spec.n_start + terms):
+        bn = 0
+        for b in bs:
+            bn = bn * n + b
+        total += (coeffs[n] * xn * bn) >> (6 * n + w)
+        xn = (xn * big_x) >> w
+    return round_to(mpmath.ldexp(mpf_of(total, prec), -w), prec).value
+
+
+@pytest.fixture(scope="module")
+def block_specs():
+    """Solved specs at 8192 bits, a published one with x negated, one from n = 1."""
+    specs = [build_series(nu, r, 8192) for nu in (1, 2, 3)
+             for r in (7, Fraction(7, 2), Fraction(13, 2), Fraction(29, 2))]
+    pub = PI4_R2.to_spec(8192)
+    return specs + [dataclasses.replace(pub, x=-pub.x),
+                    dataclasses.replace(specs[-2], n_start=1)]
+
+
+@pytest.mark.parametrize("prec", [256, 1024, 8192])
+def test_evaluate_bit_identical_to_per_term_loop(block_specs, prec):
+    # term counts on both sides of block edges: at 256 bits every count up to
+    # the most evaluate accepts (capped at 240), above it the counts around
+    # m and 2m, m the block length at the most terms, and around the largest
+    # count of two or more whole blocks
+    for spec in block_specs:
+        most = min(240, int((decimal_digits(prec) + 10) / spec.dpt()))
+        m = _block_length(spec.nu, most)
+        whole = max((t for t in range(2, most + 1) if t % _block_length(spec.nu, t) == 0
+                     and t > _block_length(spec.nu, t)), default=1)
+        counts = range(1, most + 1) if prec == 256 else {
+            1, 2, m - 1, m, m + 1, 2 * m, 2 * m + 1, whole - 1, whole, whole + 1, most}
+        for terms in sorted(t for t in counts if 1 <= t <= most):
+            assert evaluate(spec, terms, prec).value == _per_term_reference(spec, terms, prec), (
+                spec.label, spec.n_start, terms)
 
 
 def test_store_refills_after_clear():
@@ -287,18 +338,22 @@ def _kernel_reference(spec, terms, prec):
     """The partial sum at 3 prec, and evaluate's stated error bound at W bits."""
     w = prec + 2 * GUARD + 64
     p = 2 * spec.nu
+    m = _block_length(spec.nu, terms)
     coeffs = series._scaled(p, spec.n_start + terms - 1)
     with mp.workprec(3 * prec):
         x = spec.x.value
         bs = [b.value for b in spec.bracket]
-        total, bound, top = mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(0)
+        # the final shift, and each of the K block adds per column
+        bound = 1 + -(-terms // m) * sum(abs(b) for b in bs)
+        total, top = mpmath.mpf(0), mpmath.mpf(0)
         for n in range(spec.n_start, spec.n_start + terms):
+            k, i = divmod(n - spec.n_start, m)
             c = mpmath.ldexp(mpmath.mpf(coeffs[n]), -6 * n)
             bn = sum(b * mpmath.mpf(n) ** j for j, b in enumerate(bs))
             term = c * x ** n * bn
             total += term
             top = max(top, abs(term))
-            bound += (1 + (mpmath.mpf(3) * n / 2 + 1) * c * abs(bn)
+            bound += ((abs(x) ** (n - i) + mpmath.mpf(3 * (i + k) + 1) / 2 * c) * abs(bn)
                       + c * abs(x) ** n * sum(n ** j for j in range(p + 1)) / 2)
         # the bound is first order in 2^-W; the reference keeps about 3 prec bits
         slack = mpmath.ldexp(top * terms, 8 - 3 * prec)

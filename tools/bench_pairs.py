@@ -24,7 +24,9 @@ the sorted ids of the failed tests, ``failed_ids``)
 and the sha256 of the stdout of ``python3 -m piforge.cli --prec N --format
 json verify`` for N in 512, 2048 and 8192, run in its checkout, and
 ``cli_sha256``, the sha256 of the stdout, stderr and exit code of each command
-in ``CLI_COMMANDS``, in text and in JSON; all of these are taken before the
+in ``CLI_COMMANDS``, in text and in JSON, and ``stages``, the median of 7
+timings in ms of each max-term ``evaluate`` of ``STAGE_SUMS`` after one untimed
+call, all taken in one fresh interpreter; all of these are taken before the
 benchmark runs. The top-level ``verify_json_identical`` says whether the two
 sides' verify outputs hash the same at every N, ``cli_outputs_identical``
 whether every CLI command's outputs do, and ``tier1_failed_identical``
@@ -67,6 +69,32 @@ CLI_COMMANDS = (
     "--prec 512 series --nu 1 --r 3",
     "--prec 512 series --nu 2 --r 1/2",
 )
+
+# max-term evaluate calls timed by ``stages``: (nu, r, the precision the spec
+# is built at, the precisions it is summed at, the cap on terms); each sums the
+# most terms evaluate accepts, up to the cap
+STAGE_SUMS = ((3, "7/2", 8192, (1024, 8192), 240), (2, "29/2", 8192, (1024, 8192), 240),
+              (1, "13/2", 8192, (1024, 8192), 240), (3, "7", 4096, (4096,), 400))
+STAGE_SCRIPT = """
+import json, statistics, sys, time
+from fractions import Fraction
+from piforge import build_series, evaluate
+from piforge.bigreal import decimal_digits
+out = {}
+for nu, r, built, precs, cap in json.loads(sys.argv[1]):
+    spec = build_series(nu, Fraction(r), built)
+    for prec in precs:
+        terms = min(cap, int((decimal_digits(prec) + 10) / spec.dpt()))
+        evaluate(spec, terms, prec)
+        times = []
+        for _ in range(7):
+            start = time.perf_counter()
+            evaluate(spec, terms, prec)
+            times.append(time.perf_counter() - start)
+        out[f"evaluate nu={nu} r={r} prec={prec} terms={terms}"] = round(
+            statistics.median(times) * 1e3, 3)
+print(json.dumps(out))
+"""
 
 
 def export(rev: str, dest: Path) -> str:
@@ -124,6 +152,14 @@ def cli_digests(tree: Path) -> dict:
     return out
 
 
+def stage_timings(tree: Path) -> dict:
+    """Median ms of each ``STAGE_SUMS`` evaluate, from one fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    return json.loads(subprocess.run(
+        [sys.executable, "-c", STAGE_SCRIPT, json.dumps(STAGE_SUMS)],
+        cwd=tree, env=env, check=True, capture_output=True, text=True).stdout)
+
+
 def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, list]:
     """One benchmark run; returns its final JSON line and its per-operation digests."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
@@ -177,7 +213,8 @@ def main(argv=None) -> int:
             doc["sides"][side].update({"src.lines": sum(lines.values()),
                                        "src.lines_by_module": lines, "tier1": tier1(tree),
                                        "verify_sha256": verify_digests(tree),
-                                       "cli_sha256": cli_digests(tree)})
+                                       "cli_sha256": cli_digests(tree),
+                                       "stages": stage_timings(tree)})
             print(f"{side} tier-1: {doc['sides'][side]['tier1']['summary']}",
                   file=sys.stderr, flush=True)
         parent, change = doc["sides"]["parent"], doc["sides"]["change"]
