@@ -90,9 +90,9 @@ def alpha_from_context(ctx: ModulusContext, prec: int | None = None) -> AlphaVal
     return AlphaValue(r=ctx.r, value=round_to(v, prec), route=ROUTE_DIRECT, prec=prec)
 
 
-def _alpha_4r_formula(a_r: AlphaValue, r_k, prec: int | None) -> BigReal:
+def _alpha_4r_formula(a_r: AlphaValue, r_k) -> BigReal:
     """(1 + k)^2 a(r) - 2 sqrt(r) k with k the singular modulus k_{r_k}."""
-    prec = a_r.prec if prec is None else prec
+    prec = a_r.prec
     wprec = prec + 2 * GUARD
     k = singular_modulus(r_k, wprec).k.value
     with mp.workprec(wprec):
@@ -101,19 +101,19 @@ def _alpha_4r_formula(a_r: AlphaValue, r_k, prec: int | None) -> BigReal:
     return round_to(v, prec)
 
 
-def alpha_4r(a_r: AlphaValue, prec: int | None = None) -> AlphaValue:
+def alpha_4r(a_r: AlphaValue) -> AlphaValue:
     """a(4r) = (1 + k_4r)^2 a(r) - 2 sqrt(r) k_4r."""
-    v = _alpha_4r_formula(a_r, 4 * a_r.r, prec)
+    v = _alpha_4r_formula(a_r, 4 * a_r.r)
     return AlphaValue(r=4 * a_r.r, value=v, route=ROUTE_4R, prec=v.prec)
 
 
-def alpha_4r_with_base_modulus(a_r: AlphaValue, prec: int | None = None) -> BigReal:
+def alpha_4r_with_base_modulus(a_r: AlphaValue) -> BigReal:
     """Known-incorrect a(4r) variant using k_r instead of k_4r.
 
     Kept as a regression sentinel: at r=1 it misses the true a(4) by
     about 0.30. Never used as a computation route.
     """
-    return _alpha_4r_formula(a_r, a_r.r, prec)
+    return _alpha_4r_formula(a_r, a_r.r)
 
 
 def triple_modulus_quartic_root(r, prec: int) -> BigReal:
@@ -149,7 +149,7 @@ def triple_modulus_quartic_root(r, prec: int) -> BigReal:
     return round_to(m, prec)
 
 
-def alpha_9r(a_r: AlphaValue, prec: int | None = None) -> AlphaValue:
+def alpha_9r(a_r: AlphaValue) -> AlphaValue:
     """a(9r) through the cubic-multiplier quartic.
 
     With M the admissible quartic root,
@@ -157,7 +157,7 @@ def alpha_9r(a_r: AlphaValue, prec: int | None = None) -> AlphaValue:
         a(9r)/sqrt(r) - k_9r^2 = 1 - (k_9r k_r + k'_9r k'_r + 1)/(3M)
                                  - 1/(3M^2) + (a(r)/sqrt(r) - k_r^2/3)/M^2.
     """
-    prec = a_r.prec if prec is None else prec
+    prec = a_r.prec
     wprec = prec + 4 * GUARD
     rf = a_r.r
     ctx = singular_modulus(rf, wprec)
@@ -302,7 +302,7 @@ def multiplier_quintic_residual(mval: MultiplierValue, ctx: ModulusContext) -> B
     return round_to(out, prec)
 
 
-def alpha_25r(a_r: AlphaValue, prec: int | None = None) -> AlphaValue:
+def alpha_25r(a_r: AlphaValue) -> AlphaValue:
     """a(25r) through the degree-5 route:
 
         3 a(25r)/(m5^2 sqrt(r)) - 3 a(r)/sqrt(r)
@@ -311,7 +311,7 @@ def alpha_25r(a_r: AlphaValue, prec: int | None = None) -> AlphaValue:
 
     with R = R(q^2), A = R^-5 - 11 - R^5 and m5 = K[r]/K[25r].
     """
-    prec = a_r.prec if prec is None else prec
+    prec = a_r.prec
     wprec = prec + 4 * GUARD
     rf = a_r.r
     ctx = singular_modulus(rf, wprec)

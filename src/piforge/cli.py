@@ -120,7 +120,7 @@ def cmd_alpha(args) -> int:
     residual = None
     if args.route != ROUTE_DIRECT:
         divisor, reduce_fn = _ROUTES[args.route]
-        value = reduce_fn(alpha_direct(r / divisor, prec), prec)
+        value = reduce_fn(alpha_direct(r / divisor, prec))
         with mp.workprec(prec + GUARD):
             residual = abs(value.value.value - direct.value.value)
     threshold = Fraction(1, 2 ** (prec - 32))

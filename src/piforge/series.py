@@ -1,16 +1,16 @@
 """Series assembly, evaluation, and digit-level verification.
 
-The coefficients c_p(n) are exact. For even p they are stored as the
-integers N_p(n) = 64^n c_p(n), built by integer convolution from the base
-sequence C(2n,n)^3:
+The coefficients c_p(n) are exact. c_p is the p-fold convolution power of
+C(2n,n)^3/64^n, so c_2(n) = 2^(-6n) sum_{s=0}^{n} C(2s,s)^3 C(2n-2s,n-s)^3.
+For even p they are stored as the integers N_p(n) = 64^n c_p(n), each table
+filled from the base N_1(n) = C(2n,n)^3 alone by J.C.P. Miller's recurrence
+for the powers of a power series (Knuth, *TAOCP* vol. 2, sec. 4.7):
 
-    N_2 = base * base,    N_p = N_{p-2} * N_2,
+    N_p(0) = 1,    m N_p(m) = sum_{k=1}^{m} ((p+1)k - m) N_1(k) N_p(m-k).
 
-so c_2(n) = 2^(-6n) sum_{s=0}^{n} C(2s,s)^3 C(2n-2s,n-s)^3 and c_p is the
-p-fold convolution power of C(2n,n)^3/64^n. Rounding enters only in a
-partial sum, which ``evaluate`` forms as blocked column sums in integer
-fixed point (Smith, Math. Comp. 52, 1989; Brent & Zimmermann, *Modern
-Computer Arithmetic*, 2010, sec. 4.4.3) and rounds once.
+Rounding enters only in a partial sum, which ``evaluate`` forms as blocked
+column sums in integer fixed point (Smith, Math. Comp. 52, 1989; Brent &
+Zimmermann, *Modern Computer Arithmetic*, 2010, sec. 4.4.3) and rounds once.
 
 A SeriesSpec is a fully determined series
 
@@ -58,22 +58,21 @@ def _store(p: int) -> list[int]:
 
 
 def _scaled(p: int, n: int) -> list[int]:
-    """The integers N_p(m) = 64^m c_p(m) for m <= n (and any filled beyond)."""
-    table = _store(p)
-    if len(table) <= n:
-        if p == 1:
-            table.extend(comb(2 * m, m) ** 3 for m in range(len(table), n + 1))
-        else:
-            left = _scaled(1 if p == 2 else p - 2, n)
-            right = _scaled(1 if p == 2 else 2, n)
-            for m in range(len(table), n + 1):
-                table.append(sum(map(mul, left[:m + 1], right[m::-1])))
+    """The integers N_p(m) = 64^m c_p(m) for m <= n (and any filled beyond),
+    filled from the base alone by the power recurrence; division by m is exact."""
+    base, table = _store(1), _store(p)
+    base.extend(comb(2 * m, m) ** 3 for m in range(len(base), n + 1))
+    if not table:
+        table.append(1)
+    for m in range(len(table), n + 1):
+        weighted = map(mul, range(p + 1 - m, p * m + 1, p + 1), base[1:m + 1])
+        table.append(sum(map(mul, weighted, table[m - 1::-1])) // m)
     return table
 
 
-@functools.lru_cache(maxsize=None)
 def cp(p: int, n: int) -> Fraction:
-    """c_p(n) for even p >= 2, the p-fold convolution power of C(2n,n)^3/64^n."""
+    """c_p(n) for even p >= 2, the p-fold convolution power of C(2n,n)^3/64^n,
+    read from the integer store."""
     if p % 2 != 0 or p < 2:
         raise DomainError(f"p must be a positive even integer, got {p}")
     if n < 0:

@@ -140,6 +140,38 @@ def test_degenerate_system_exit_code(capsys):
     assert "singular coefficient system" in err
 
 
+def test_stack_pole_exit_code(capsys):
+    # at r = 1 + 10^-40, 1 - 2k_r^2 is about 10^-40 and the stack's
+    # denominator (1 - 2u)^(2m) cancels to 0 at the working precision
+    r = f"{10 ** 40 + 1}/{10 ** 40}"
+    code, out, err = run(capsys, ["--prec", "256", "series", "--nu", "2", "--r", r])
+    assert code == 2
+    assert out == ""
+    assert "derivative stack has a pole" in err
+
+
+def test_alpha_route_disagreeing_with_direct_fails(capsys, monkeypatch):
+    # the base-modulus sentinel misses a(4) by about 0.30
+    from piforge import cli
+    from piforge.alpha import AlphaValue, alpha_4r_with_base_modulus
+
+    def sentinel(a_r):
+        return AlphaValue(r=4 * a_r.r, value=alpha_4r_with_base_modulus(a_r),
+                          route="4r", prec=a_r.prec)
+
+    monkeypatch.setitem(cli._ROUTES, "4r", (4, sentinel))
+    code, out, _ = run(capsys, PREC + ["alpha", "4", "--route", "4r"])
+    assert code == 1
+    assert "FAIL: route disagrees with direct evaluation" in out
+
+
+def test_precision_below_64_bits_rejected(capsys):
+    code, out, err = run(capsys, ["--prec", "32", "modulus", "2"])
+    assert code == 2
+    assert out == ""
+    assert "precision must be >= 64 bits" in err
+
+
 @pytest.mark.parametrize("r", ["1/2", "1/7", "2/3", "1/10"])
 def test_series_below_r_1_is_domain_error(capsys, r):
     # k_r^2 > 1/2 for r < 1; 1/r gives the same x with k_r^2 < 1/2

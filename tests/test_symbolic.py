@@ -513,6 +513,13 @@ def test_r3_systems_are_well_posed_for_nu_above_1(nu):
     assert len(spec.bracket) == 2 * nu + 1
 
 
+def test_solver_reports_a_stack_pole():
+    # at r = 1 + 10^-40, 1 - 2k_r^2 is about 10^-40, and the expanded
+    # denominator 2^m (1 - 2u)^(2m) cancels to 0 in Horner's rule
+    with pytest.raises(DegenerateSystemError, match="derivative stack has a pole"):
+        solve_coefficients(2, 1 + Fraction(1, 10 ** 40), 256)
+
+
 def test_solver_condition_threshold_has_margin_at_64_bits():
     # every pool r builds at the CLI minimum; rcond of the worst of them
     # (nu=3, r=5/4: 1e-10) sits ten orders above the 64-bit threshold

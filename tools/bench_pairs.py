@@ -26,7 +26,9 @@ json verify`` for N in 512, 2048 and 8192, run in its checkout, and
 ``cli_sha256``, the sha256 of the stdout, stderr and exit code of each command
 in ``CLI_COMMANDS``, in text and in JSON, and ``stages``, the median of 7
 timings in ms of each max-term ``evaluate`` of ``STAGE_SUMS`` after one untimed
-call, all taken in one fresh interpreter; all of these are taken before the
+call and of 7 cold fills of the coefficient store to n = 420 for p = 2, 4 and 6
+(``fill p=... n=420``, each from an emptied store), all taken in one fresh
+interpreter; all of these are taken before the
 benchmark runs. The top-level ``verify_json_identical`` says whether the two
 sides' verify outputs hash the same at every N, ``cli_outputs_identical``
 whether every CLI command's outputs do, and ``tier1_failed_identical``
@@ -78,9 +80,17 @@ STAGE_SUMS = ((3, "7/2", 8192, (1024, 8192), 240), (2, "29/2", 8192, (1024, 8192
 STAGE_SCRIPT = """
 import json, statistics, sys, time
 from fractions import Fraction
-from piforge import build_series, evaluate
+from piforge import build_series, evaluate, series
 from piforge.bigreal import decimal_digits
 out = {}
+for p in (2, 4, 6):
+    times = []
+    for _ in range(7):
+        series._store.cache_clear()
+        start = time.perf_counter()
+        series._scaled(p, 420)
+        times.append(time.perf_counter() - start)
+    out[f"fill p={p} n=420"] = round(statistics.median(times) * 1e3, 3)
 for nu, r, built, precs, cap in json.loads(sys.argv[1]):
     spec = build_series(nu, Fraction(r), built)
     for prec in precs:
@@ -153,7 +163,8 @@ def cli_digests(tree: Path) -> dict:
 
 
 def stage_timings(tree: Path) -> dict:
-    """Median ms of each ``STAGE_SUMS`` evaluate, from one fresh interpreter."""
+    """Median ms of each cold store fill and each ``STAGE_SUMS`` evaluate, from
+    one fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     return json.loads(subprocess.run(
         [sys.executable, "-c", STAGE_SCRIPT, json.dumps(STAGE_SUMS)],
