@@ -28,8 +28,7 @@ in ``CLI_COMMANDS``, in text and in JSON, and ``stages``, the median of 7
 timings in ms of each max-term ``evaluate`` of ``STAGE_SUMS`` after one untimed
 call and of 7 cold fills of the coefficient store to n = 420 for p = 2, 4 and 6
 (``fill p=... n=420``, each from an emptied store), all taken in one fresh
-interpreter; all of these are taken before the
-benchmark runs. The top-level ``verify_json_identical`` says whether the two
+interpreter; all of these are taken before the benchmark runs. The top-level ``verify_json_identical`` says whether the two
 sides' verify outputs hash the same at every N, ``cli_outputs_identical``
 whether every CLI command's outputs do, and ``tier1_failed_identical``
 whether the same tests failed on both sides.
