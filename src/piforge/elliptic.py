@@ -19,11 +19,15 @@ any result to within 2^(-prec+8); the test suite enforces this.
 
 All values are immutable after construction and all operations are pure
 functions of their inputs, so contexts can be shared and evaluated in
-parallel. The per-precision pi cache fills idempotently.
+parallel. ``singular_modulus`` builds each context once per r and 64-bit
+precision bucket, keeps its values unrounded and serves every request in the
+bucket by rounding them once; that store and the per-precision pi cache fill
+idempotently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,11 +59,12 @@ def agm(a, b, prec: int) -> BigReal:
     return round_to(out, prec)
 
 
-def _ell_ke(k, prec) -> tuple[BigReal, BigReal]:
+def _ell_ke(k, prec) -> tuple[mpmath.mpf, mpmath.mpf]:
     """(K(k), E(k)) from one AGM of (1, k'): K = pi/(2M), E = K (1 - S).
 
     S is the AGM side sum started at its c_0 = k term, k^2/2 (Legendre).
-    Both are accurate to 2^(-prec+8); requires 0 <= k < 1. Raises
+    Both are unrounded mpfs at prec + 2 GUARD bits, accurate to 2^(-prec+8)
+    once rounded to ``prec``; requires 0 <= k < 1. Raises
     InsufficientPrecisionError when k' rounds to 0 at the working precision.
     """
     wprec = prec + 2 * GUARD
@@ -77,7 +82,7 @@ def _ell_ke(k, prec) -> tuple[BigReal, BigReal]:
         m, side = _agm(mpmath.mpf(1), kpv, mpmath.ldexp(1, -(prec + GUARD)), kv * kv / 2)
         big_k = pi_bits(wprec) / (2 * m)
         big_e = big_k * (1 - side)
-    return round_to(big_k, prec), round_to(big_e, prec)
+    return big_k, big_e
 
 
 def ell_k(k, prec: int) -> BigReal:
@@ -86,7 +91,7 @@ def ell_k(k, prec: int) -> BigReal:
     Modulus convention: equals EllipticK[k^2] in parameter-based libraries.
     Accurate to 2^(-prec+8); requires 0 <= k < 1.
     """
-    return _ell_ke(k, prec)[0]
+    return round_to(_ell_ke(k, prec)[0], prec)
 
 
 def ell_e(k, prec: int) -> BigReal:
@@ -95,7 +100,7 @@ def ell_e(k, prec: int) -> BigReal:
     E = K * (1 - sum_{n>=0} 2^(n-1) c_n^2) where c_n are the AGM difference
     terms of agm(1, k') and c_0 = k. Accurate to 2^(-prec+8).
     """
-    return _ell_ke(k, prec)[1]
+    return round_to(_ell_ke(k, prec)[1], prec)
 
 
 def nome(r, prec: int) -> BigReal:
@@ -229,21 +234,46 @@ class ModulusContext:
 
 
 def singular_modulus(r, prec: int) -> ModulusContext:
-    """Build the ModulusContext for rational r > 0 at ``prec`` bits.
+    """The ModulusContext for rational r > 0 at ``prec`` bits.
+
+    Its values are built once per r and 64-bit precision bucket, by
+    ``_context`` at ``prec`` rounded up to a multiple of 64, and kept
+    unrounded for the process (``_context.cache_clear()`` empties the store);
+    each request rounds them to ``prec`` once. Raises DomainError for r <= 0,
+    and InsufficientPrecisionError when k_s^2 (s = max(r, 1/r)) underflows
+    below one ulp of 1 at the *requested* precision: then k'_s would round
+    to exactly 1 and K(k'_s) would be indistinguishable from a pole. The
+    error carries a sufficient precision estimate instead of returning a
+    silent zero. No error is stored.
+    """
+    rf = as_fraction(r)
+    if rf <= 0:
+        raise DomainError(f"r must be positive, got {rf}")
+    values = _context(rf, -(-prec // 64) * 64)
+    with mp.workprec(prec + 4 * GUARD):
+        kv = values[1 if rf >= 1 else 2]
+        if kv == 0 or (1 - kv * kv) == 1:
+            # k_s ~ 4 exp(-pi sqrt(s)/2), so k_s^2 needs about pi*sqrt(s)/ln 2 bits
+            s = max(rf, 1 / rf)
+            need = math.ceil(math.pi * math.sqrt(float(s)) / math.log(2)) + MINIMUM_HEADROOM
+            raise InsufficientPrecisionError(
+                f"singular modulus k_r indistinguishable from {0 if rf >= 1 else 1} "
+                f"at {prec} bits for r={rf}",
+                required_bits=need,
+            )
+    return ModulusContext(rf, *(round_to(v, prec) for v in values), prec)
+
+
+@functools.lru_cache(maxsize=None)
+def _context(rf: Fraction, prec: int) -> tuple[mpmath.mpf, ...]:
+    """(q, k, k', K, E) for r = rf, unrounded, good to 2^(-prec+8) once rounded.
 
     k_s = theta2(q)^2/theta3(q)^2 with q = exp(-pi*sqrt(s)) and s = max(r, 1/r).
     For r >= 1, k_r = k_s; for r < 1, k_r = k'_s and k'_r = k_s, and
     K[r] = K[s]/sqrt(r) with E[r] from Legendre's relation
     E K' + E' K - K K' = pi/2, so that neither k' nor K is ever derived from
-    a k near 1, where sqrt(1 - k^2) cancels. Raises
-    InsufficientPrecisionError when k_s^2 underflows below one ulp of 1
-    (then k'_s would round to exactly 1 and K(k'_s) would be
-    indistinguishable from a pole); the error carries a sufficient
-    precision estimate instead of returning a silent zero.
+    a k near 1, where sqrt(1 - k^2) cancels.
     """
-    rf = as_fraction(r)
-    if rf <= 0:
-        raise DomainError(f"r must be positive, got {rf}")
     s = max(rf, 1 / rf)
     wprec = prec + 4 * GUARD
     qs = nome(s, wprec).value
@@ -251,28 +281,14 @@ def singular_modulus(r, prec: int) -> ModulusContext:
         s2, _ = _q_series(qs, 2, 2, 1, wprec)
         s3, _ = _q_series(qs, 2, 0, 1, wprec)
         kv = mpmath.sqrt(qs) * (s2 / s3) ** 2
-        if kv == 0 or (1 - kv * kv) == 1:
-            # k_s ~ 4 exp(-pi sqrt(s)/2), so k_s^2 needs about pi*sqrt(s)/ln 2 bits
-            need = math.ceil(math.pi * math.sqrt(float(s)) / math.log(2)) + MINIMUM_HEADROOM
-            raise InsufficientPrecisionError(
-                f"singular modulus k_r indistinguishable from {0 if rf >= 1 else 1} "
-                f"at {prec} bits for r={rf}",
-                required_bits=need,
-            )
         kpv = mpmath.sqrt(1 - kv * kv)
     if rf >= 1:
-        qv = qs
-        big_k, big_e = _ell_ke(round_to(kv, wprec), prec)
-    else:
-        qv = nome(rf, wprec).value
-        ks, es = (v.value for v in _ell_ke(round_to(kv, wprec), wprec))
-        kv, kpv = kpv, kv
-        with mp.workprec(wprec):
-            kr = ks / mpmath.sqrt(mpmath.mpf(rf.numerator) / rf.denominator)
-            er = (pi_bits(wprec) / 2 + kr * (ks - es)) / ks
-        big_k, big_e = round_to(kr, prec), round_to(er, prec)
-    return ModulusContext(r=rf, q=round_to(qv, prec), k=round_to(kv, prec),
-                          kprime=round_to(kpv, prec), big_k=big_k, big_e=big_e, prec=prec)
+        return (qs, kv, kpv, *_ell_ke(round_to(kv, wprec), prec))
+    ks, es = (round_to(v, wprec).value for v in _ell_ke(round_to(kv, wprec), wprec))
+    with mp.workprec(wprec):
+        kr = ks / mpmath.sqrt(mpmath.mpf(rf.numerator) / rf.denominator)
+        er = (pi_bits(wprec) / 2 + kr * (ks - es)) / ks
+    return nome(rf, wprec).value, kpv, kv, kr, er
 
 
 def dk_dk(ctx: ModulusContext) -> BigReal:

@@ -144,6 +144,15 @@ def test_quartic_root_at_small_r_asks_for_precision():
         triple_modulus_quartic_root(Fraction(1, 1000), 64)
 
 
+def test_quartic_root_asks_for_precision_with_wider_contexts_stored():
+    # the 128-bit bucket that serves the 96-bit request holds k_r, and so
+    # does the 1024-bit one; the request must still fail at its own 96 bits
+    singular_modulus(Fraction(1, 1000), 1024)
+    singular_modulus(Fraction(1, 1000), 128)
+    with deadline(10), pytest.raises(InsufficientPrecisionError):
+        triple_modulus_quartic_root(Fraction(1, 1000), 64)
+
+
 def test_alpha_9_route():
     a9 = alpha_9r(alpha_direct(1, P))
     assert a9.route == "via9r"

@@ -13,9 +13,10 @@ import pytest
 from mpmath import mp
 
 from piforge import (BigReal, DomainError, InsufficientPrecisionError, agm,
-                     dk_dk, ell_e, ell_k, eta_f, nome, singular_modulus,
-                     theta2, theta3, theta4)
-from piforge.bigreal import pi_bits
+                     catalog, dk_dk, elliptic, ell_e, ell_k, eta_f, identities, nome,
+                     singular_modulus, theta2, theta3, theta4)
+from piforge.bigreal import pi_bits, round_to
+from piforge.elliptic import ModulusContext
 
 from conftest import deadline, tol_bits
 
@@ -331,8 +332,82 @@ def test_insufficient_precision_is_loud():
 
 
 def test_domain_rejects_nonpositive_r():
-    with pytest.raises(DomainError):
-        singular_modulus(0, P)
+    # no error is stored: each call raises again
+    for _ in range(2):
+        for r in (0, Fraction(-1, 3)):
+            with pytest.raises(DomainError):
+                singular_modulus(r, P)
+
+
+# ---------------------------------------------------------------- context store
+
+# the benchmark's r pool, the r of ``piforge verify`` and its routes, r >= 58
+# where k' nears 1, and r < 1, down to 1/100 where k' taken from k would cancel
+STORE_RS = (Fraction(7, 2), 4, Fraction(9, 2), 6, Fraction(13, 2), Fraction(15, 2), 14,
+            Fraction(29, 2), 15, 1, 2, 3, 25, 58, Fraction(63, 2), Fraction(1, 3),
+            Fraction(1, 100))
+
+
+def direct_context(r, prec):
+    """The context built at ``prec`` itself and rounded once, bypassing the store."""
+    rf = Fraction(r)
+    values = elliptic._context.__wrapped__(rf, prec)
+    return ModulusContext(rf, *(round_to(v, prec) for v in values), prec)
+
+
+@pytest.mark.parametrize("r", STORE_RS, ids=str)
+def test_served_context_equals_direct_build(r):
+    # every request lies below its 64-bit bucket, so each is served from a
+    # wider build; 1021 and 1023 sit just under 1024, where rounding an
+    # already rounded bucket value would differ in the last bit
+    elliptic._context.cache_clear()
+    for prec in (65, 127, 200, 333, 528, 536, 544, 700, 957, 1021, 1023, 1040, 1100):
+        assert singular_modulus(r, prec) == direct_context(r, prec), f"prec={prec}"
+
+
+@pytest.mark.parametrize("r", [Fraction(13, 2), Fraction(1, 3)], ids=str)
+def test_singular_modulus_ignores_the_ambient_precision(r):
+    # the suite runs at an ambient 1536 bits; library callers run at 53
+    for prec in (256, 1040):
+        elliptic._context.cache_clear()
+        at_suite = singular_modulus(r, prec)
+        elliptic._context.cache_clear()
+        with mp.workprec(53):
+            at_default = singular_modulus(r, prec)
+        assert at_default == at_suite
+
+
+def test_verify_builds_one_context_per_r_and_bucket(monkeypatch):
+    # verify's residual checks ask for r = 1, 2, 3 and 25 at prec + 16, + 24
+    # and + 32 bits, which at 8192 bits all fall in the 8256-bit bucket
+    build = elliptic._context
+    asked = []
+    monkeypatch.setattr(elliptic, "_context",
+                        lambda rf, prec: asked.append((rf, prec)) or build(rf, prec))
+    build.cache_clear()
+    identities.identity_battery(8192)
+    catalog.y_table_residuals(8192)
+    assert set(asked) == {(Fraction(r), 8256) for r in (1, 2, 3, 25)}
+    assert build.cache_info().misses == 4 < len(asked)
+    build.cache_clear()
+    singular_modulus(25, 8208)
+    assert build.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("r", [53000, Fraction(1, 53000)], ids=str)
+def test_underflow_is_judged_at_the_requested_precision(r):
+    # k_s^2 for s = 53000 needs about 1045 bits: the 1024-bit bucket holds it,
+    # a 1000-bit request does not, whether or not that bucket is stored
+    elliptic._context.cache_clear()
+    with pytest.raises(InsufficientPrecisionError) as cold:
+        singular_modulus(r, 1000)
+    elliptic._context.cache_clear()
+    singular_modulus(r, 1024)
+    with pytest.raises(InsufficientPrecisionError) as warm:
+        singular_modulus(r, 1000)
+    assert warm.value.required_bits == cold.value.required_bits > 1024
+    assert str(warm.value) == str(cold.value)
+    assert "at 1000 bits" in str(warm.value)
 
 
 # ---------------------------------------------------------------- eta

@@ -24,11 +24,16 @@ the sorted ids of the failed tests, ``failed_ids``)
 and the sha256 of the stdout of ``python3 -m piforge.cli --prec N --format
 json verify`` for N in 512, 2048 and 8192, run in its checkout, and
 ``cli_sha256``, the sha256 of the stdout, stderr and exit code of each command
-in ``CLI_COMMANDS``, in text and in JSON, and ``stages``, the median of 7
-timings in ms of each max-term ``evaluate`` of ``STAGE_SUMS`` after one untimed
-call and of 7 cold fills of the coefficient store to n = 420 for p = 2, 4 and 6
-(``fill p=... n=420``, each from an emptied store), all taken in one fresh
-interpreter; all of these are taken before the benchmark runs. The top-level ``verify_json_identical`` says whether the two
+in ``CLI_COMMANDS``, in text and in JSON, and ``stages``, per key the median
+over ``STAGE_RUNS`` fresh interpreters of that interpreter's median of 7
+timings in ms: of each max-term ``evaluate`` of ``STAGE_SUMS`` after one
+untimed call, of cold fills of the coefficient store to n = 420 for p = 2, 4
+and 6 (``fill p=... n=420``, each from an emptied store), and of
+``singular_modulus(r, 8208)`` for r = 1, 2, 3 and 25 (``context r=...
+prec=8208``, each from an emptied context store, after one untimed call fills
+the pi cache). The stage interpreters alternate between the sides, so a change
+in the machine's state reaches both. All of these are taken before the
+benchmark runs. The top-level ``verify_json_identical`` says whether the two
 sides' verify outputs hash the same at every N, ``cli_outputs_identical``
 whether every CLI command's outputs do, and ``tier1_failed_identical``
 whether the same tests failed on both sides.
@@ -76,12 +81,25 @@ CLI_COMMANDS = (
 # most terms evaluate accepts, up to the cap
 STAGE_SUMS = ((3, "7/2", 8192, (1024, 8192), 240), (2, "29/2", 8192, (1024, 8192), 240),
               (1, "13/2", 8192, (1024, 8192), 240), (3, "7", 4096, (4096,), 400))
+STAGE_RUNS = 5
 STAGE_SCRIPT = """
 import json, statistics, sys, time
 from fractions import Fraction
-from piforge import build_series, evaluate, series
+from piforge import build_series, elliptic, evaluate, series
 from piforge.bigreal import decimal_digits
 out = {}
+# a revision without the context store builds on every call
+store = getattr(elliptic, "_context", None)
+elliptic.singular_modulus(1, 8208)
+for r in (1, 2, 3, 25):
+    times = []
+    for _ in range(7):
+        if store:
+            store.cache_clear()
+        start = time.perf_counter()
+        elliptic.singular_modulus(r, 8208)
+        times.append(time.perf_counter() - start)
+    out[f"context r={r} prec=8208"] = round(statistics.median(times) * 1e3, 3)
 for p in (2, 4, 6):
     times = []
     for _ in range(7):
@@ -161,13 +179,18 @@ def cli_digests(tree: Path) -> dict:
     return out
 
 
-def stage_timings(tree: Path) -> dict:
-    """Median ms of each cold store fill and each ``STAGE_SUMS`` evaluate, from
-    one fresh interpreter."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    return json.loads(subprocess.run(
-        [sys.executable, "-c", STAGE_SCRIPT, json.dumps(STAGE_SUMS)],
-        cwd=tree, env=env, check=True, capture_output=True, text=True).stdout)
+def stage_timings(trees: dict) -> dict:
+    """Per side, the median over ``STAGE_RUNS`` fresh interpreters, alternating
+    sides, of each stage's median ms in that interpreter."""
+    runs = {side: [] for side in trees}
+    for i in range(STAGE_RUNS):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            env = {**os.environ, "PYTHONPATH": str(trees[side] / "src")}
+            runs[side].append(json.loads(subprocess.run(
+                [sys.executable, "-c", STAGE_SCRIPT, json.dumps(STAGE_SUMS)],
+                cwd=trees[side], env=env, check=True, capture_output=True, text=True).stdout))
+    return {side: {key: statistics.median(run[key] for run in rs) for key in rs[0]}
+            for side, rs in runs.items()}
 
 
 def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, list]:
@@ -223,10 +246,11 @@ def main(argv=None) -> int:
             doc["sides"][side].update({"src.lines": sum(lines.values()),
                                        "src.lines_by_module": lines, "tier1": tier1(tree),
                                        "verify_sha256": verify_digests(tree),
-                                       "cli_sha256": cli_digests(tree),
-                                       "stages": stage_timings(tree)})
+                                       "cli_sha256": cli_digests(tree)})
             print(f"{side} tier-1: {doc['sides'][side]['tier1']['summary']}",
                   file=sys.stderr, flush=True)
+        for side, stages in stage_timings(trees).items():
+            doc["sides"][side]["stages"] = stages
         parent, change = doc["sides"]["parent"], doc["sides"]["change"]
         doc["verify_json_identical"] = parent["verify_sha256"] == change["verify_sha256"]
         doc["cli_outputs_identical"] = parent["cli_sha256"] == change["cli_sha256"]
