@@ -251,7 +251,7 @@ def singular_modulus(r, prec: int) -> ModulusContext:
         raise DomainError(f"r must be positive, got {rf}")
     values = _context(rf, -(-prec // 64) * 64)
     with mp.workprec(prec + 4 * GUARD):
-        kv = values[1 if rf >= 1 else 2]
+        kv = values[1 if rf >= 1 else 2]  # k_s: k_r for r >= 1, k'_r below
         if kv == 0 or (1 - kv * kv) == 1:
             # k_s ~ 4 exp(-pi sqrt(s)/2), so k_s^2 needs about pi*sqrt(s)/ln 2 bits
             s = max(rf, 1 / rf)
