@@ -30,6 +30,7 @@ All functions are pure; AlphaValue and MultiplierValue are immutable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -192,8 +193,9 @@ def eisenstein_p(q, prec: int) -> BigReal:
     return round_to(out, prec)
 
 
+@functools.lru_cache(maxsize=None)
 def t_sum(p: int, r, prec: int) -> BigReal:
-    """T_{p,r} = P(q^2) - p P(q^(2p)) at q = exp(-pi*sqrt(r))."""
+    """T_{p,r} = P(q^2) - p P(q^(2p)) at q = exp(-pi*sqrt(r)), kept per (p, r, prec)."""
     if p < 2:
         raise DomainError(f"p must be >= 2, got {p}")
     rf = as_fraction(r)

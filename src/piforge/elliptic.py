@@ -13,9 +13,9 @@ precision, so a returned BigReal at ``prec`` bits is accurate to a few ulps:
 run through the package's one AGM loop, ``bigreal._agm``, which stops at a
 relative gap of 2^(-prec) for agm and 2^(-prec-8) for K and E; one pass of
 it on (1, k') gives both K = pi/(2M) and E = K (1 - S) from its side sum S.
-The q-series all go through one theta-series kernel, ``_q_series``, that
-keeps its relative accuracy up to q -> 1. Doubling ``prec`` must reproduce
-any result to within 2^(-prec+8); the test suite enforces this.
+The q-series all go through one fixed-point theta-series kernel, ``_q_series``,
+that keeps its relative accuracy up to q -> 1. Doubling ``prec`` must
+reproduce any result to within 2^(-prec+8); the test suite enforces this.
 
 All values are immutable after construction and all operations are pure
 functions of their inputs, so contexts can be shared and evaluated in
@@ -118,7 +118,7 @@ def nome(r, prec: int) -> BigReal:
 def _q_series(qv: mpmath.mpf, a: int, b: int, sign: int, prec: int, deriv: bool = False):
     """S = sum_{n in Z} sign^n q^e(n), e(n) = (a n^2 + b n)/2; D = q dS/dq if ``deriv``.
 
-    Needs a > |b| with a + b even, so e(n) >= 0 and the largest term of S is 1.
+    Needs a >= |b| with a + b even, so e(n) >= 0 and the largest term of S is 1.
     Each side runs outward from n = 0 by ratios (q^e *= q^gap, q^gap *= q^a)
     and stops at the first term (of D with ``deriv``) below 2^(-prec-GUARD)
     once e > 0; the ratios shrink, so the tail is a small multiple of that
@@ -126,32 +126,51 @@ def _q_series(qv: mpmath.mpf, a: int, b: int, sign: int, prec: int, deriv: bool 
     (f(-0.99) ~ 2e-70): the bits lost against the largest term, read off the
     exponents, are won back by one pass with that many extra bits. Returns
     (S, D) at the ambient precision plus those bits; D = 0 without ``deriv``.
+
+    Each pass sums in integer fixed point with F = pass precision + GUARD
+    fraction bits (with ``deriv``, GUARD more and the bits q^gap lacks below 1,
+    so D keeps its relative accuracy). q^n comes by binary powering from q
+    truncated exactly; t *= g and g *= q^a are short products, each operand
+    truncated to the bits that reach the unit 2^-F, so the integers shrink
+    with the terms and each product errs by under 3 units of 2^-F.
     """
+    gaps = ((a + b) // 2, (a - b) // 2)
+    dbits = GUARD + max(0, -mpmath.mag(qv)) * min(g for g in gaps if g) if deriv and qv else 0
     base, extra = mp.prec, 0
     while True:
-        with mp.workprec(base + extra):
-            eps = mpmath.ldexp(1, -(prec + GUARD + extra))
-            qa = qv ** a
-            s, d, top = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
-            for gap in ((a + b) // 2, (a - b) // 2):
-                t, g, e, sg = mpmath.mpf(1), qv ** gap, 0, 1
-                while True:
-                    t *= g
-                    g *= qa
-                    e += gap
-                    gap += a
-                    sg *= sign
-                    s += sg * t
-                    if deriv:
-                        et = e * t
-                        d += sg * et
-                        top = max(top, et)
-                    if e and (et if deriv else t) < eps:
-                        break
-            lost = max(mpmath.mag(m) - mpmath.mag(x) if x else mp.prec
-                       for m, x in ((1, s), (top, d)) if m)
+        f = base + extra + GUARD + dbits
+        q = int(mpmath.ldexp(qv, f))
+
+        def power(n):
+            out, x = 1 << f, q
+            while n:
+                out, x, n = out * x >> f if n & 1 else out, x * x >> f if n > 1 else x, n >> 1
+            return out
+
+        eps = 1 << max(0, f - prec - GUARD - extra)
+        qa = power(a)
+        la = qa.bit_length()
+        s, d, top = 1 << f, 0, 0
+        for gap in gaps:
+            t, g, e, sg = power(gap), power(gap + a), gap, sign
+            while True:
+                s = s + t if sg > 0 else s - t
+                if deriv:
+                    et = e * t
+                    d, top = d + sg * et, max(top, et)
+                if e and (et if deriv else t) < eps:
+                    break
+                lt, lg = min(t.bit_length(), f), g.bit_length()  # t = 1 only at theta2's e = 0
+                if lt + lg <= f:           # every later term is below one unit
+                    break
+                t = (t >> (f - lg)) * (g >> (f - lt)) >> (lt + lg - f)
+                g = (g >> (f - la)) * (qa >> (f - lg)) >> (lg + la - f) if lg + la > f else 0
+                e, gap, sg = e + gap + a, gap + a, sg * sign
+        lost = max(m - x.bit_length() if x else base + extra
+                   for m, x in ((f + 1, s), (top.bit_length(), d)) if m)
         if lost <= extra + GUARD:
-            return s, d
+            with mp.workprec(base + extra):
+                return mpmath.mpf((s, -f)), mpmath.mpf((d, -f))
         extra = lost
 
 

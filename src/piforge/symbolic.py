@@ -32,9 +32,10 @@ at u = k_r^2 turns each z^m F^(m)(z) into a Laurent polynomial in K with even
 exponents 0..2p and numeric coefficients (pi folded in); requiring every
 positive K-power of sum A_m z^m F^(m) to vanish with A_0 = 1 yields a square
 linear system of size 2*nu for A_1..A_{2nu}, and the surviving K^0 term is
-g/pi^(2nu) after restoring the (2/pi)^(2p) prefactor. The solver rejects a
-system whose rows are dependent to working precision, and reports the
-residual of the eliminated coefficients.
+g/pi^(2nu) after restoring the (2/pi)^(2p) prefactor; one LU factorization
+gives both the system's condition number and its solution. The solver
+rejects a system whose rows are dependent to working precision, and reports
+the residual of the eliminated coefficients.
 """
 
 from __future__ import annotations
@@ -81,13 +82,6 @@ def _acc(out: dict, key, c) -> None:
     out[key] = _padd(out.get(key, ()), c)
 
 
-def _horner(cs, x):
-    v = mpmath.mpf(0)
-    for c in reversed(cs):
-        v = v * x + c
-    return v
-
-
 def diff_u(p: dict) -> dict:
     """D(p) = 2u(1-u) dp/du for p = {(i, j): u-coefficients of K^i E^j}.
 
@@ -129,20 +123,18 @@ def derivative_stack(nu: int) -> tuple:
     return tuple(stack)
 
 
-def substitute_alpha(entry: tuple, ctx: ModulusContext, a: AlphaValue) -> dict:
-    """Replace every E by K (1 - a/sqrt(r)) + pi/(4 K sqrt(r)) in a stack
-    entry (P, den) and evaluate the coefficients at u = k_r^2: a Laurent
-    polynomial in K, returned as {K-exponent: BigReal coefficient} with zero
-    coefficients left out.
+def substitute_alpha(stack, ctx: ModulusContext, a: AlphaValue) -> list:
+    """Replace every E by lambda K + mu/K, lambda = 1 - a/sqrt(r) and
+    mu = pi/(4 sqrt(r)), in each entry (P, den) of ``stack`` at u = k_r^2: one
+    Laurent polynomial in K per entry, {K-exponent: BigReal} without zeros.
 
-    Each numerator is evaluated by Horner at u, taken once at the working
-    precision; every collected entry is then divided by the one shared
-    denominator. For a homogeneous input of (K,E)-degree d the result has
-    exponents of the same parity as d, collected with pi-powers folded in.
+    One table of u^k (denominators included) and one of s[j][t] =
+    C(j,t) lambda^(j-t) mu^t serve the stack: term (i, j) adds c(u) s[j][t],
+    c(u) = sum_k c_k u^k, to exponent i + j - 2t, in the entry's term order,
+    and each sum is divided by den(u).
     """
     if ctx.r != a.r:
         raise DomainError(f"context is at r={ctx.r} but alpha at r={a.r}")
-    terms, den = entry
     prec = min(ctx.prec, a.prec)
     wprec = prec + 2 * GUARD
     with mp.workprec(wprec):
@@ -150,23 +142,41 @@ def substitute_alpha(entry: tuple, ctx: ModulusContext, a: AlphaValue) -> dict:
         sr = ctx.sqrt_r().value
         lam = 1 - a.value.value / sr          # coefficient of K in E
         mu = pi_bits(wprec) / (4 * sr)        # coefficient of 1/K in E
-        out: dict = {}
-        for (i, j), c in terms.items():
-            cv = _horner(c, uv)
-            for t in range(j + 1):
-                e = i + j - 2 * t
-                val = cv * comb(j, t) * lam ** (j - t) * mu ** t
-                out[e] = out.get(e, mpmath.mpf(0)) + val
-        dv = _horner(den, uv)
-        return {e: round_to(v / dv, prec) for e, v in out.items() if v != 0}
+        degree = max((len(c) for p, den in stack for c in (den, *p.values())), default=0)
+        top = max((j for p, _ in stack for _, j in p), default=0)
+        upow = [mpmath.mpf(1)]
+        while len(upow) < degree:
+            upow.append(upow[-1] * uv)
+        lpow, mpow = ([v ** n for n in range(top + 1)] for v in (lam, mu))
+        s = [[comb(j, t) * lpow[j - t] * mpow[t] for t in range(j + 1)] for j in range(top + 1)]
+        out = []
+        for p, den in stack:
+            acc: dict = {}
+            for (i, j), c in p.items():
+                cv = sum(x * upow[k] for k, x in enumerate(c) if x)
+                for t, st in enumerate(s[j]):
+                    e = i + j - 2 * t
+                    acc[e] = acc.get(e, 0) + cv * st
+            dv = sum(x * upow[k] for k, x in enumerate(den) if x)
+            out.append({e: round_to(v / dv, prec) for e, v in acc.items() if v != 0})
+    return out
 
 
-def _rcond(M) -> mpmath.mpf:
-    """Reciprocal 1-norm condition number of a square matrix (0 if LU finds it singular)."""
-    try:
-        return 1 / (mpmath.mnorm(M, 1) * mpmath.mnorm(mpmath.inverse(M), 1))
-    except ZeroDivisionError:
-        return mpmath.mpf(0)
+def _solve(M, rhs) -> tuple:
+    """(reciprocal 1-norm condition number of M, x with M x = rhs), or (0, None)
+    if LU finds M singular. M is factored once, and the inverse's columns and
+    x are solved from the factors, all at mp.prec + 10 bits as in
+    ``mpmath.inverse`` and ``mpmath.lu_solve``, so both equal mpmath's."""
+    n = M.rows
+    with mp.extraprec(10):
+        try:
+            lu, piv = mp.LU_decomp(M)
+        except ZeroDivisionError:
+            return mpmath.mpf(0), None
+        *cols, x = (mp.U_solve(lu, mp.L_solve(lu, b, piv))
+                    for b in [mpmath.unitvector(n, i + 1) for i in range(n)] + [rhs])
+    inv_t = mpmath.matrix([list(col) for col in cols])
+    return 1 / (mpmath.mnorm(M, 1) * mpmath.mnorm(inv_t.T, 1)), x
 
 
 @dataclass(frozen=True)
@@ -224,7 +234,7 @@ def solve_coefficients(nu: int, r, prec: int) -> CoefficientSolution:
         ctx = singular_modulus(rf, wprec)
         a = alpha_from_context(ctx)
         try:
-            laurents = [substitute_alpha(p, ctx, a) for p in derivative_stack(nu)]
+            laurents = substitute_alpha(derivative_stack(nu), ctx, a)
         except ZeroDivisionError as exc:
             raise DegenerateSystemError(f"derivative stack has a pole at r={rf}") from exc
         exps = sorted({e for L in laurents for e in L if e != 0}, reverse=True)
@@ -239,7 +249,7 @@ def solve_coefficients(nu: int, r, prec: int) -> CoefficientSolution:
             # whatever A the round-off dictates; well-posed systems keep an
             # rcond that does not shrink with the precision.
             tiny = mpmath.mpf(2) ** (-(wprec // 2))
-            rcond = _rcond(M) if len(exps) == n_unknown else mpmath.mpf(0)
+            rcond, sol = _solve(M, rhs) if len(exps) == n_unknown else (mpmath.mpf(0), None)
             if rcond < tiny:
                 sv = mpmath.svd_r(M, compute_uv=False)
                 rank = sum(1 for v in sv if v > max(sv) * tiny)
@@ -251,7 +261,6 @@ def solve_coefficients(nu: int, r, prec: int) -> CoefficientSolution:
             break
         extra = lost
     with mp.workprec(wprec):
-        sol = mpmath.lu_solve(M, rhs)
         a_coeffs = [mpmath.mpf(1)] + [sol[i] for i in range(n_unknown)]
 
         def combined(e):

@@ -41,3 +41,29 @@ def test_individual_residuals_tight():
     ]
     for i, resid in enumerate(checks):
         assert resid.value < tol_bits(P, 40), f"identity #{i}: {resid}"
+
+
+def test_battery_sums_t51_once_per_precision(monkeypatch):
+    # T_{5,1} is checked against three forms at one precision, and t_sum
+    # keeps it; each t_sum takes two Eisenstein sums, and the battery's other
+    # identities take three more
+    from piforge import alpha, identities
+
+    calls = []
+    p_of = alpha.eisenstein_p
+
+    def spy(q, prec):
+        calls.append(prec)
+        return p_of(q, prec)
+
+    monkeypatch.setattr(alpha, "eisenstein_p", spy)
+    monkeypatch.setattr(identities, "eisenstein_p", spy)
+    alpha.t_sum.cache_clear()
+    identity_battery(P)
+    assert len(calls) == 7
+    assert alpha.t_sum.cache_info().misses == 2    # T_{5,1} and T_{5,2}
+    assert alpha.t_sum.cache_info().hits == 2
+    calls.clear()
+    alpha.t_sum.cache_clear()
+    identity_battery(P)
+    assert len(calls) == 7

@@ -2,7 +2,8 @@
 
 The oracles below are the q-products and the Lambert series these functions
 were once computed by. They share no code with the kernel: each multiplies
-or sums term by term with a geometric tail bound, at prec + 16 bits.
+or sums term by term with a geometric tail bound, at prec + 16 bits. The
+kernel's former mpf loop is kept as a reference for its fixed-point sums.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from mpmath import mp
 
 from piforge import (BigReal, eisenstein_p, eta_f, nome, rr_convergents, rr_eval,
                      theta2, theta3, theta4)
-from piforge.elliptic import GUARD
+from piforge.elliptic import GUARD, _q_series
 
 
 def product_eta(qv, prec):
@@ -125,3 +126,83 @@ def test_rr_companion_a_at_q_999_agrees_across_precisions():
     qb = BigReal.of(Fraction(999, 1000), 128)
     lo, hi = rr_eval(qb, 128).A, rr_eval(qb, 256).A
     assert rel_err(lo, hi.value) < mpmath.mpf(2) ** -120
+
+
+def mpf_q_series(qv, a, b, sign, prec, deriv):
+    """The kernel's former loop: full-width mpf products at the ambient
+    precision, with the same cut, loss rule and extra pass."""
+    base, extra = mp.prec, 0
+    while True:
+        with mp.workprec(base + extra):
+            eps = mpmath.ldexp(1, -(prec + GUARD + extra))
+            qa = qv ** a
+            s, d, top = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+            for gap in ((a + b) // 2, (a - b) // 2):
+                t, g, e, sg = mpmath.mpf(1), qv ** gap, 0, 1
+                while True:
+                    t *= g
+                    g *= qa
+                    e += gap
+                    gap += a
+                    sg *= sign
+                    s += sg * t
+                    if deriv:
+                        et = e * t
+                        d += sg * et
+                        top = max(top, et)
+                    if e and (et if deriv else t) < eps:
+                        break
+            lost = max(mpmath.mag(m) - mpmath.mag(x) if x else mp.prec
+                       for m, x in ((1, s), (top, d)) if m)
+        if lost <= extra + GUARD:
+            return s, d
+        extra = lost
+
+
+# (a, b, sign, deriv) of every caller: theta2, theta3, theta4, f(-q),
+# R's numerator and denominator, f(-q^5) summed in q, and P(q)'s f and q f'
+KERNEL_FORMS = [(2, 2, 1, False), (2, 0, 1, False), (2, 0, -1, False), (3, -1, -1, False),
+                (5, -3, -1, False), (5, -1, -1, False), (15, -5, -1, False),
+                (3, -1, -1, True)]
+KERNEL_QS = ("1e-40", "0.00187", "0.0432", "0.3", "0.6", "0.9", "0.99")
+
+
+@pytest.mark.parametrize("prec", [256, 1040, 8224])
+@pytest.mark.parametrize("form", KERNEL_FORMS, ids=lambda f: "{},{},{},{}".format(*f))
+def test_fixed_point_sums_match_the_mpf_loop(form, prec):
+    # the reference runs at prec + 100 bits, where its own error is below
+    # 2^-(prec+80); q carries those bits, more than the kernel's first pass,
+    # so a q rounded to the pass precision shows near q = 1
+    a, b, sign, deriv = form
+    ref, tol = prec + 100, mpmath.mpf(2) ** -(prec + 8)
+    for q in KERNEL_QS:
+        with mp.workprec(ref):
+            qv = mpmath.mpf(q)
+            want_s, want_d = mpf_q_series(qv, a, b, sign, ref, deriv)
+        with mp.workprec(prec + 2 * GUARD):
+            s, d = _q_series(qv, a, b, sign, prec, deriv)
+        with mp.workprec(ref):
+            assert abs(s - want_s) < tol * abs(want_s), q
+            assert abs(d - want_d) < tol * abs(want_d) if deriv else d == 0, q
+
+
+@pytest.mark.parametrize("q", ["1e-40", "0.00187"])
+def test_q_series_takes_one_pass_when_nothing_cancels(q):
+    # S ~ 1 and D ~ q lose no bits against their largest terms, 1 and q, so
+    # both come back at the ambient precision
+    prec = 256
+    with mp.workprec(prec + 2 * GUARD):
+        s, d = _q_series(mpmath.mpf(q), 3, -1, -1, prec, deriv=True)
+        assert s.man.bit_length() <= mp.prec and d.man.bit_length() <= mp.prec
+
+
+@pytest.mark.parametrize("prec", [256, 1040])
+def test_q_series_callers_ignore_the_ambient_precision(prec):
+    # the suite runs at an ambient 1536 bits; library callers run at 53
+    q = nome(2, prec) ** 2
+    calls = (lambda: theta2(q, prec), lambda: theta3(q, prec), lambda: eta_f(q, prec),
+             lambda: rr_eval(q, prec), lambda: eisenstein_p(q, prec))
+    at_suite = [f() for f in calls]
+    with mp.workprec(53):
+        at_default = [f() for f in calls]
+    assert at_default == at_suite

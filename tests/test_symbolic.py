@@ -18,7 +18,8 @@ from mpmath import mp
 
 from piforge import (BigReal, DegenerateSystemError, DomainError,
                      alpha_direct, build_series, derivative_stack, diff_u, dk_dk,
-                     singular_modulus, solve_coefficients, substitute_alpha)
+                     singular_modulus, solve_coefficients, substitute_alpha, symbolic)
+from piforge.bigreal import round_to
 
 from conftest import ke_at_u, tol_bits
 
@@ -155,8 +156,9 @@ def test_total_degree_preserved(p):
 
 
 # sha256 of repr(derivative_stack(nu)): the exact integers, and the order in
-# which each level's terms are first met, which is substitute_alpha's order of
-# summation and so reaches the solved digits
+# which each level's terms are first met; substitute_alpha adds the terms'
+# contributions to each K-exponent in that order, so it reaches the solved
+# digits
 STACK_SHA256 = {
     1: "eed7b811ec131c785f52a20fe7f7481e244ff7ab200d3a71c49f5e01adf02620",
     2: "d93ad429cbdd74774c71f610edb997f2f97a2c3c0db8c001d2a2689149e27d9b",
@@ -301,7 +303,7 @@ def laurent_at(lk, big_k):
 def test_substitute_ke_example_at_r2():
     ctx = singular_modulus(2, P)
     a = alpha_direct(2, P)
-    lk = substitute_alpha(({(1, 1): (1,)}, (1,)), ctx, a)
+    lk, = substitute_alpha([({(1, 1): (1,)}, (1,))], ctx, a)
     assert set(lk) == {0, 2}
     s2 = BigReal.of(2, P).sqrt()
     want2 = 1 - a.value / s2
@@ -314,7 +316,7 @@ def test_substitute_alpha_relation_restated():
     # substituting into E - K and dividing by K recovers (pi/(4K^2) - a)/sqrt(r)
     ctx = singular_modulus(3, P)
     a = alpha_direct(3, P)
-    lk = substitute_alpha(({(0, 1): (1,), (1, 0): (-1,)}, (1,)), ctx, a)
+    lk, = substitute_alpha([({(0, 1): (1,), (1, 0): (-1,)}, (1,))], ctx, a)
     got = laurent_at(lk, ctx.big_k) / ctx.big_k
     want = (BigReal.pi(P) / (4 * ctx.big_k ** 2) - a.value) / ctx.sqrt_r()
     assert abs((got - want).value) < tol_bits(P, 24)
@@ -332,7 +334,7 @@ def test_substitute_round_trip_random(p, d0, d2):
     # the entry at k_3 with K and E both taken from the AGM
     ctx, a = r3_context_and_alpha()
     direct = ke_at_u(p, ctx.k ** 2, P, (d0, 0, d2))
-    via = laurent_at(substitute_alpha((p, (d0, 0, d2)), ctx, a), ctx.big_k)
+    via = laurent_at(substitute_alpha([(p, (d0, 0, d2))], ctx, a)[0], ctx.big_k)
     assert abs(direct - via.value) < tol_bits(P, 24)
 
 
@@ -340,7 +342,7 @@ def test_substitute_requires_matching_r():
     ctx = singular_modulus(2, P)
     a = alpha_direct(3, P)
     with pytest.raises(DomainError):
-        substitute_alpha((k_sym(), (1,)), ctx, a)
+        substitute_alpha([(k_sym(), (1,))], ctx, a)
 
 
 # --------------------------------------------------------- solver
@@ -515,7 +517,8 @@ def test_r3_systems_are_well_posed_for_nu_above_1(nu):
 
 def test_solver_reports_a_stack_pole():
     # at r = 1 + 10^-40, 1 - 2k_r^2 is about 10^-40, and the expanded
-    # denominator 2^m (1 - 2u)^(2m) cancels to 0 in Horner's rule
+    # denominator 2^m (1 - 2u)^(2m), summed as sum_k c_k u^k over the table
+    # of u-powers, cancels to exactly 0 at m = 2
     with pytest.raises(DegenerateSystemError, match="derivative stack has a pole"):
         solve_coefficients(2, 1 + Fraction(1, 10 ** 40), 256)
 
@@ -528,3 +531,46 @@ def test_solver_condition_threshold_has_margin_at_64_bits():
             assert solve_coefficients(nu, r, 64).rank == 2 * nu
     with pytest.raises(DegenerateSystemError):
         solve_coefficients(1, 3, 64)
+
+
+def _mpmath_rcond(M):
+    """The former rcond: M and mpmath's inverse of it, factored apart."""
+    try:
+        return 1 / (mpmath.mnorm(M, 1) * mpmath.mnorm(mpmath.inverse(M), 1))
+    except ZeroDivisionError:
+        return mpmath.mpf(0)
+
+
+@pytest.mark.parametrize("nu, r", [(1, 3), (1, Fraction(13, 2)), (2, Fraction(29, 2)),
+                                   (3, Fraction(7, 2)), (3, 58)])
+@pytest.mark.parametrize("prec", [256, 1040])
+def test_shared_lu_equals_mpmath_inverse_and_lu_solve(nu, r, prec, monkeypatch):
+    # the solve factors its system once and takes both rcond and the solution
+    # from those factors; each must equal mpmath's own, bit for bit, at the
+    # precision the solve runs at (nu = 1, r = 3 has dependent rows)
+    seen = []
+    solve = symbolic._solve
+    monkeypatch.setattr(symbolic, "_solve", lambda M, rhs: seen.append(
+        (M.copy(), rhs.copy(), mp.prec, solve(M, rhs))) or seen[-1][-1])
+    try:
+        sol = solve_coefficients(nu, r, prec)
+    except DegenerateSystemError as exc:
+        assert (nu, r) == (1, 3) and exc.rank == 1
+        sol = None
+    M, rhs, wprec, (rcond, x) = seen[-1]
+    with mp.workprec(wprec):
+        assert rcond == _mpmath_rcond(M)
+        if sol is None:
+            return
+        assert x == mpmath.lu_solve(M, rhs)
+    assert sol.rank == 2 * nu and sol.rcond == round_to(rcond, prec)
+
+
+@pytest.mark.parametrize("nu, r", [(1, Fraction(13, 2)), (3, Fraction(29, 2))])
+def test_solver_ignores_the_ambient_precision(nu, r):
+    # the suite runs at an ambient 1536 bits; library callers run at 53
+    for prec in (256, 1040):
+        at_suite = solve_coefficients(nu, r, prec)
+        with mp.workprec(53):
+            at_default = solve_coefficients(nu, r, prec)
+        assert at_default == at_suite

@@ -28,12 +28,15 @@ in ``CLI_COMMANDS``, in text and in JSON, and ``stages``, per key the median
 over ``STAGE_RUNS`` fresh interpreters of that interpreter's median of 7
 timings in ms: of each max-term ``evaluate`` of ``STAGE_SUMS`` after one
 untimed call, of cold fills of the coefficient store to n = 420 for p = 2, 4
-and 6 (``fill p=... n=420``, each from an emptied store), and of
+and 6 (``fill p=... n=420``, each from an emptied store), of
 ``singular_modulus(r, 8208)`` for r = 1, 2, 3 and 25 (``context r=...
 prec=8208``, each from an emptied context store, after one untimed call fills
-the pi cache). The stage interpreters alternate between the sides, so a change
-in the machine's state reaches both. All of these are taken before the
-benchmark runs. The top-level ``verify_json_identical`` says whether the two
+the pi cache), of ``solve_coefficients(nu, 13/2, 8192)`` for nu = 1, 2 and 3
+after one untimed call warms the context, pi and the stack, and of
+``theta3`` and ``eta_f`` at nome(1, 8192)^2 and ``rr_eval`` at
+nome(1/5, 8208)^2, each after one untimed call. The stage interpreters
+alternate between the sides, so a change in the machine's state reaches both.
+All of these are taken before the benchmark runs. The top-level ``verify_json_identical`` says whether the two
 sides' verify outputs hash the same at every N, ``cli_outputs_identical``
 whether every CLI command's outputs do, and ``tier1_failed_identical``
 whether the same tests failed on both sides.
@@ -85,41 +88,45 @@ STAGE_RUNS = 5
 STAGE_SCRIPT = """
 import json, statistics, sys, time
 from fractions import Fraction
-from piforge import build_series, elliptic, evaluate, series
+from piforge import build_series, elliptic, evaluate, rr_eval, series, solve_coefficients
 from piforge.bigreal import decimal_digits
+
+def median_ms(call, before=lambda: None):
+    times = []
+    for _ in range(7):
+        before()
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return round(statistics.median(times) * 1e3, 3)
+
 out = {}
 # a revision without the context store builds on every call
 store = getattr(elliptic, "_context", None)
 elliptic.singular_modulus(1, 8208)
 for r in (1, 2, 3, 25):
-    times = []
-    for _ in range(7):
-        if store:
-            store.cache_clear()
-        start = time.perf_counter()
-        elliptic.singular_modulus(r, 8208)
-        times.append(time.perf_counter() - start)
-    out[f"context r={r} prec=8208"] = round(statistics.median(times) * 1e3, 3)
+    out[f"context r={r} prec=8208"] = median_ms(lambda: elliptic.singular_modulus(r, 8208),
+                                                store.cache_clear if store else lambda: None)
 for p in (2, 4, 6):
-    times = []
-    for _ in range(7):
-        series._store.cache_clear()
-        start = time.perf_counter()
-        series._scaled(p, 420)
-        times.append(time.perf_counter() - start)
-    out[f"fill p={p} n=420"] = round(statistics.median(times) * 1e3, 3)
+    out[f"fill p={p} n=420"] = median_ms(lambda: series._scaled(p, 420), series._store.cache_clear)
+for nu in (1, 2, 3):
+    solve_coefficients(nu, Fraction(13, 2), 8192)
+    out[f"solve nu={nu} r=13/2 prec=8192"] = median_ms(
+        lambda: solve_coefficients(nu, Fraction(13, 2), 8192))
+q = elliptic.nome(1, 8192) ** 2
+for name in ("theta3", "eta_f"):
+    getattr(elliptic, name)(q, 8192)
+    out[f"{name} q=nome(1)^2 prec=8192"] = median_ms(lambda: getattr(elliptic, name)(q, 8192))
+q = elliptic.nome(Fraction(1, 5), 8208) ** 2
+rr_eval(q, 8208)
+out["rr_eval q=nome(1/5)^2 prec=8208"] = median_ms(lambda: rr_eval(q, 8208))
 for nu, r, built, precs, cap in json.loads(sys.argv[1]):
     spec = build_series(nu, Fraction(r), built)
     for prec in precs:
         terms = min(cap, int((decimal_digits(prec) + 10) / spec.dpt()))
         evaluate(spec, terms, prec)
-        times = []
-        for _ in range(7):
-            start = time.perf_counter()
-            evaluate(spec, terms, prec)
-            times.append(time.perf_counter() - start)
-        out[f"evaluate nu={nu} r={r} prec={prec} terms={terms}"] = round(
-            statistics.median(times) * 1e3, 3)
+        out[f"evaluate nu={nu} r={r} prec={prec} terms={terms}"] = median_ms(
+            lambda: evaluate(spec, terms, prec))
 print(json.dumps(out))
 """
 
