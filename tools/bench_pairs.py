@@ -36,9 +36,10 @@ after one untimed call warms the context, pi and the stack, and of
 ``theta3`` and ``eta_f`` at nome(1, 8192)^2 and ``rr_eval`` at
 nome(1/5, 8208)^2, each after one untimed call. The stage interpreters
 alternate between the sides, so a change in the machine's state reaches both.
-All of these are taken before the benchmark runs. The top-level ``verify_json_identical`` says whether the two
-sides' verify outputs hash the same at every N, ``cli_outputs_identical``
-whether every CLI command's outputs do, and ``tier1_failed_identical``
+All of these are taken before the benchmark runs. The top-level
+``verify_json_identical`` says whether the two sides' verify outputs hash the
+same at every N, ``cli_outputs_identical`` whether every CLI command's outputs
+do, and ``tier1_failed_identical``
 whether the same tests failed on both sides.
 """
 
