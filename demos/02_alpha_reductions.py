@@ -37,6 +37,6 @@ print(f"K[9]/K[1]               = {(ctx9.big_k / ctx1.big_k).to_decimal(40)}")
 
 print("\n== the degree-5 multiplier ==")
 m5 = multiplier(5, 1, PREC)
-print(f"m5 = K[1]/K[25]         = {m5.m.to_decimal(40)}")
-resid = multiplier_quintic_residual(m5, ctx1)
+print(f"m5 = K[1]/K[25]         = {m5.to_decimal(40)}")
+resid = multiplier_quintic_residual(1, PREC)
 print(f"modular quintic residual (at the inverse ratio): {float(abs(resid.value)):.3e}")

@@ -9,10 +9,9 @@ from .elliptic import (ModulusContext, agm, dk_dk, ell_e, ell_k, eta_f, nome,
 from .errors import (DegenerateSystemError, DomainError,
                      InsufficientPrecisionError, NonConvergentSeriesError,
                      PiforgeError, RootSelectionError, VerificationError)
-from .alpha import (AlphaValue, MultiplierValue, alpha_25r, alpha_4r,
-                    alpha_9r, alpha_direct, eisenstein_p, multiplier,
-                    multiplier_quintic_residual, t5_closed_form, t5_eta_form,
-                    t5_rr_form, t_sum, triple_modulus_quartic_root)
+from .alpha import (AlphaValue, alpha_25r, alpha_4r, alpha_9r, alpha_direct,
+                    eisenstein_p, multiplier, multiplier_quintic_residual, t5_closed_form,
+                    t5_eta_form, t5_rr_form, t_sum, triple_modulus_quartic_root)
 from .rr import (RRValue, a_r_algebraic, multiplier5_algebraic,
                  rr_convergents, rr_eval, y_value)
 from .symbolic import (CoefficientSolution, derivative_stack, diff_u,

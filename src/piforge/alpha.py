@@ -25,7 +25,7 @@ regression tests:
 * the degree-5 modular equation (5m-1)^5 (1-m) = 256 k^2 k'^2 m holds for the
   *inverse* ratio m = K[25r]/K[r], not for the multiplier K[r]/K[25r].
 
-All functions are pure; AlphaValue and MultiplierValue are immutable.
+All functions are pure; AlphaValue is immutable.
 """
 
 from __future__ import annotations
@@ -64,15 +64,6 @@ class AlphaValue:
                     raise VerificationError(
                         f"a({self.r}) = {mpmath.nstr(self.value.value, 8)} "
                         f"outside the window (0, sqrt(r))")
-
-
-@dataclass(frozen=True)
-class MultiplierValue:
-    """m_p = K[r]/K[p^2 r]; exceeds 1 for r >= 1, p >= 2 since K decreases in r."""
-
-    p: int
-    r: Fraction
-    m: BigReal
 
 
 def alpha_direct(r, prec: int) -> AlphaValue:
@@ -273,8 +264,9 @@ def t5_rr_form(r, prec: int) -> BigReal:
     return round_to(out, prec)
 
 
-def multiplier(p: int, r, prec: int) -> MultiplierValue:
-    """m_p = K[r]/K[p^2 r] as a direct quotient of two contexts."""
+def multiplier(p: int, r, prec: int) -> BigReal:
+    """m_p = K[r]/K[p^2 r] as a direct quotient of two contexts; it exceeds 1
+    for r >= 1, p >= 2 since K decreases in r."""
     if p < 2:
         raise DomainError(f"p must be >= 2, got {p}")
     rf = as_fraction(r)
@@ -283,23 +275,24 @@ def multiplier(p: int, r, prec: int) -> MultiplierValue:
     ctxp = singular_modulus(p * p * rf, wprec)
     with mp.workprec(wprec):
         m = ctx.big_k.value / ctxp.big_k.value
-    return MultiplierValue(p=p, r=rf, m=round_to(m, prec))
+    return round_to(m, prec)
 
 
-def multiplier_quintic_residual(mval: MultiplierValue, ctx: ModulusContext) -> BigReal:
+def multiplier_quintic_residual(r, prec: int) -> BigReal:
     """Residual of the degree-5 modular equation at x = 1/m5:
 
-        (5x - 1)^5 (1 - x) - 256 k^2 k'^2 x.
+        (5x - 1)^5 (1 - x) - 256 k^2 k'^2 x,
 
-    The equation is satisfied by the inverse ratio x = K[25r]/K[r]; the
-    multiplier itself (x = m5 > 1) makes the left side negative and large,
-    which the sentinel test pins.
+    with k = k_r and m5 = multiplier(5, r), both at ``prec``. The equation is
+    satisfied by the inverse ratio x = K[25r]/K[r]; the multiplier itself
+    (x = m5 > 1) makes the left side negative and large, which the sentinel
+    test pins.
     """
-    if mval.p != 5:
-        raise DomainError("quintic residual is defined for p = 5")
-    prec = min(mval.m.prec, ctx.prec)
+    rf = as_fraction(r)
+    ctx = singular_modulus(rf, prec)
+    m5 = multiplier(5, rf, prec)
     with mp.workprec(prec + GUARD):
-        x = 1 / mval.m.value
+        x = 1 / m5.value
         out = (5 * x - 1) ** 5 * (1 - x) - 256 * ctx.k.value ** 2 * ctx.kprime.value ** 2 * x
     return round_to(out, prec)
 

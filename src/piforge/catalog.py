@@ -238,12 +238,18 @@ Y_CLOSED_FORMS = (
 )
 
 
+def _nested_radical(row, prec: int) -> BigReal:
+    """m (a + b sqrt(d) + c sqrt(f (g + h sqrt(d)))) for row = (m, a, b, d, c, f, g, h)."""
+    m, a, b, d, c, f, g, h = row
+    with mp.workprec(prec + GUARD):
+        v = a + b * mpmath.sqrt(d) + c * mpmath.sqrt(f * (g + h * mpmath.sqrt(d)))
+        return round_to(mpmath.mpf(m.numerator) / m.denominator * v, prec)
+
+
 def y_closed_form(s: Fraction, prec: int) -> BigReal:
-    for arg, m, a, b, d, c, f, g, h in Y_CLOSED_FORMS:
+    for arg, *row in Y_CLOSED_FORMS:
         if arg == s:
-            with mp.workprec(prec + GUARD):
-                v = a + b * mpmath.sqrt(d) + c * mpmath.sqrt(f * (g + h * mpmath.sqrt(d)))
-                return round_to(mpmath.mpf(m.numerator) / m.denominator * v, prec)
+            return _nested_radical(row, prec)
     raise DomainError(f"no closed form catalogued for Y({s})")
 
 
@@ -258,18 +264,13 @@ def y_table_residuals(prec: int) -> dict:
     return out
 
 
-# published integers of the r = 68 = 4*17 example
-R68 = {"a1": 2891581250, "b1": 313636050, "c": 12960,
-       "a2": 99557521554, "b2": 10798529365, "d": 85}
+# published integers of the r = 68 = 4*17 example as a row of the Y table's form
+R68 = (1, 2891581250, 313636050, 85, 12960, 1, 99557521554, 10798529365)
 
 
 def r68_radical(prec: int) -> BigReal:
-    """x = a1 + b1 sqrt(85) + c sqrt(a2 + b2 sqrt(85)) from the published integers."""
-    with mp.workprec(prec + GUARD):
-        s = mpmath.sqrt(R68["d"])
-        x = (R68["a1"] + R68["b1"] * s
-             + R68["c"] * mpmath.sqrt(R68["a2"] + R68["b2"] * s))
-    return round_to(x, prec)
+    """x = a1 + b1 sqrt(85) + c sqrt(a2 + b2 sqrt(85)), R68 = (1, a1, b1, 85, c, 1, a2, b2)."""
+    return _nested_radical(R68, prec)
 
 
 def r68_identity_residual(prec: int) -> BigReal:

@@ -174,31 +174,31 @@ def _q_series(qv: mpmath.mpf, a: int, b: int, sign: int, prec: int, deriv: bool 
         extra = lost
 
 
-def _theta(q, prec, b, sign) -> BigReal:
-    # theta3/theta4 = S(2, 0, +-1); theta2 = q^(1/4) S(2, 2, +1)
+def _theta(q, prec, a, b, sign) -> BigReal:
+    # theta3/theta4 = S(2, 0, +-1); theta2 = q^(1/4) S(2, 2, +1); f(-q) = S(3, -1, -1)
     wprec = prec + 2 * GUARD
     with mp.workprec(wprec):
         qv = mpf_of(q, wprec)
         if qv < 0 or qv >= 1:
             raise DomainError(f"nome must satisfy 0 <= q < 1, got {mpmath.nstr(qv, 8)}")
-        s, _ = _q_series(qv, 2, b, sign, prec)
-        out = mpmath.root(qv, 4) * s if b else s
+        s, _ = _q_series(qv, a, b, sign, prec)
+        out = mpmath.root(qv, 4) * s if (a, b) == (2, 2) else s
     return round_to(out, prec)
 
 
 def theta2(q, prec: int) -> BigReal:
     """theta_2(q) = 2 sum_{n>=0} q^((n+1/2)^2), accurate to 2^(-prec+8)."""
-    return _theta(q, prec, 2, 1)
+    return _theta(q, prec, 2, 2, 1)
 
 
 def theta3(q, prec: int) -> BigReal:
     """theta_3(q) = 1 + 2 sum_{n>=1} q^(n^2), accurate to 2^(-prec+8)."""
-    return _theta(q, prec, 0, 1)
+    return _theta(q, prec, 2, 0, 1)
 
 
 def theta4(q, prec: int) -> BigReal:
     """theta_4(q) = 1 + 2 sum_{n>=1} (-1)^n q^(n^2), accurate to 2^(-prec+8)."""
-    return _theta(q, prec, 0, -1)
+    return _theta(q, prec, 2, 0, -1)
 
 
 def eta_f(q, prec: int) -> BigReal:
@@ -207,13 +207,7 @@ def eta_f(q, prec: int) -> BigReal:
     Summed as Euler's pentagonal series sum_{n in Z} (-1)^n q^(n(3n-1)/2),
     accurate to 2^(-prec+8) relative on the whole domain.
     """
-    wprec = prec + 2 * GUARD
-    with mp.workprec(wprec):
-        qv = mpf_of(q, wprec)
-        if qv < 0 or qv >= 1:
-            raise DomainError(f"argument must satisfy 0 <= q < 1, got {mpmath.nstr(qv, 8)}")
-        out, _ = _q_series(qv, 3, -1, -1, prec)
-    return round_to(out, prec)
+    return _theta(q, prec, 3, -1, -1)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Each function returns the absolute residual of one identity tying the
 Eisenstein/Lambert sums, eta products, the Rogers-Ramanujan bracket, the
-degree-5 multiplier, and the alpha function together. They are the
+degree-5 multiplier, and the alpha function together; ``t5_residual`` takes
+the T_{5,r} form to check as its first argument. They are the
 machine-checkable consistency web for everything the reduction routes use;
 ``identity_battery`` runs all of them at named evaluation points and is
 shared by the CLI ``verify`` command and the acceptance suite.
@@ -17,9 +18,8 @@ from __future__ import annotations
 import mpmath
 from mpmath import mp
 
-from .alpha import (alpha_direct, eisenstein_p, multiplier,
-                    multiplier_quintic_residual, t5_closed_form, t5_eta_form,
-                    t5_rr_form, t_sum)
+from .alpha import (alpha_direct, eisenstein_p, multiplier_quintic_residual,
+                    t5_closed_form, t5_eta_form, t5_rr_form, t_sum)
 from .bigreal import BigReal, as_fraction, decimal_digits, pi_bits, round_to
 from .elliptic import GUARD, eta_f, singular_modulus
 from .rr import multiplier5_algebraic
@@ -59,18 +59,15 @@ def lambert_alpha_identity_plain_nome(r, prec: int) -> BigReal:
     return round_to(resid, prec)
 
 
-def _t5_residual(form, r, prec: int) -> BigReal:
-    """|T_{5,r} from Lambert sums - form(r)|, for one of the T_{5,r} forms."""
+def t5_residual(form, r, prec: int) -> BigReal:
+    """|T_{5,r} from Lambert sums - form(r)| for one of the T_{5,r} forms of
+    ``alpha``: t5_closed_form (alpha values and the multiplier), t5_eta_form
+    (eta products) or t5_rr_form (the R-bracket)."""
     lhs = t_sum(5, r, prec + GUARD)
     rhs = form(r, prec + GUARD)
     with mp.workprec(prec + GUARD):
         resid = abs(lhs.value - rhs.value)
     return round_to(resid, prec)
-
-
-def t_closed_residual(r, prec: int) -> BigReal:
-    """T_{5,r} from Lambert sums against its alpha/multiplier closed form."""
-    return _t5_residual(t5_closed_form, r, prec)
 
 
 def scaled_lambert_residual(p: int, r, prec: int) -> BigReal:
@@ -91,16 +88,6 @@ def scaled_lambert_residual(p: int, r, prec: int) -> BigReal:
                * (-3 * a_p.value.value + p * sr * (1 + ctxp.k.value ** 2)))
         resid = abs(lhs.value - rhs)
     return round_to(resid, prec)
-
-
-def t_eta_residual(r, prec: int) -> BigReal:
-    """T_{5,r} from Lambert sums against the calibrated eta-product form."""
-    return _t5_residual(t5_eta_form, r, prec)
-
-
-def t_rr_residual(r, prec: int) -> BigReal:
-    """T_{5,r} from Lambert sums against the calibrated R-bracket form."""
-    return _t5_residual(t5_rr_form, r, prec)
 
 
 def eta_cube_residual(r, prec: int) -> BigReal:
@@ -132,11 +119,8 @@ def multiplier_route_residual(r, prec: int) -> BigReal:
 
 def quintic_residual(r, prec: int) -> BigReal:
     """Degree-5 modular equation residual at the calibrated (inverse) ratio."""
-    rf = as_fraction(r)
-    wprec = prec + 2 * GUARD
-    ctx = singular_modulus(rf, wprec)
-    m = multiplier(5, rf, wprec)
-    return round_to(abs(multiplier_quintic_residual(m, ctx).value), prec)
+    resid = multiplier_quintic_residual(r, prec + 2 * GUARD)
+    return round_to(abs(resid.value), prec)
 
 
 def identity_battery(prec: int):
@@ -156,12 +140,12 @@ def identity_battery(prec: int):
 
     add("weight-2 Lambert vs alpha at r=3", lambert_alpha_identity(3, prec))
     add("weight-2 Lambert (plain nome) at r=2", lambert_alpha_identity_plain_nome(2, prec))
-    add("T(5,1) Lambert vs closed form", t_closed_residual(1, prec))
+    add("T(5,1) Lambert vs closed form", t5_residual(t5_closed_form, 1, prec))
     add("scaled Lambert vs alpha at (5,1)", scaled_lambert_residual(5, 1, prec))
-    add("T(5,1) Lambert vs eta products", t_eta_residual(1, prec))
+    add("T(5,1) Lambert vs eta products", t5_residual(t5_eta_form, 1, prec))
     add("eta-cube bridge at r=2", eta_cube_residual(2, prec))
-    add("T(5,r) Lambert vs R-bracket at r=1", t_rr_residual(1, prec))
-    add("T(5,r) Lambert vs R-bracket at r=2", t_rr_residual(2, prec))
+    add("T(5,r) Lambert vs R-bracket at r=1", t5_residual(t5_rr_form, 1, prec))
+    add("T(5,r) Lambert vs R-bracket at r=2", t5_residual(t5_rr_form, 2, prec))
     add("degree-5 multiplier route agreement at r=1", multiplier_route_residual(1, prec))
     add("degree-5 modular equation at r=1", quintic_residual(1, prec))
     return rows

@@ -37,12 +37,10 @@ Y_NORMALIZATION = 8
 
 @dataclass(frozen=True)
 class RRValue:
-    """R(q) together with A = R^(-5) - 11 - R^5 at the same q."""
+    """R(q) and A = R^(-5) - 11 - R^5 at the same q, at the caller's precision."""
 
-    q: BigReal
     R: BigReal
     A: BigReal
-    prec: int
 
 
 def rr_eval(q, prec: int) -> RRValue:
@@ -73,7 +71,7 @@ def rr_eval(q, prec: int) -> RRValue:
             f, _ = _q_series(qv, 3, -1, -1, prec)
             f5, _ = _q_series(qv, 15, -5, -1, prec)
             av = (f / f5) ** 6 / qv
-    return RRValue(q=round_to(qv, prec), R=round_to(rv, prec), A=round_to(av, prec), prec=prec)
+    return RRValue(R=round_to(rv, prec), A=round_to(av, prec))
 
 
 def rr_convergents(q, prec: int) -> BigReal:

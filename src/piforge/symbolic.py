@@ -131,7 +131,9 @@ def substitute_alpha(stack, ctx: ModulusContext, a: AlphaValue) -> list:
     One table of u^k (denominators included) and one of s[j][t] =
     C(j,t) lambda^(j-t) mu^t serve the stack: term (i, j) adds c(u) s[j][t],
     c(u) = sum_k c_k u^k, to exponent i + j - 2t, in the entry's term order,
-    and each sum is divided by den(u).
+    and each sum is divided by den(u). Raises DegenerateSystemError (a pole
+    of the stack) when |den(u)| does not exceed its rounding bound
+    sum_k |c_k| u^k 2^(-wprec), wprec the working precision.
     """
     if ctx.r != a.r:
         raise DomainError(f"context is at r={ctx.r} but alpha at r={a.r}")
@@ -158,6 +160,8 @@ def substitute_alpha(stack, ctx: ModulusContext, a: AlphaValue) -> list:
                     e = i + j - 2 * t
                     acc[e] = acc.get(e, 0) + cv * st
             dv = sum(x * upow[k] for k, x in enumerate(den) if x)
+            if abs(dv) <= mpmath.ldexp(sum(abs(x) * upow[k] for k, x in enumerate(den)), -wprec):
+                raise DegenerateSystemError(f"derivative stack has a pole at r={ctx.r}")
             out.append({e: round_to(v / dv, prec) for e, v in acc.items() if v != 0})
     return out
 
@@ -212,7 +216,8 @@ def solve_coefficients(nu: int, r, prec: int) -> CoefficientSolution:
     bits. The series argument x = 4 k_r^2 k'_r^2 is read off the same
     context. Raises NonConvergentSeriesError (a DomainError) at r = 1, where
     x = 1, DomainError for other r < 1, DegenerateSystemError when rcond
-    falls below 2^(-wprec/2) at the working precision wprec, and
+    falls below 2^(-wprec/2) at the working precision wprec or the stack
+    has a pole at k_r (``substitute_alpha``), and
     VerificationError when the residual of the eliminated coefficients does
     not come out below 2^(-prec+48).
     """
@@ -233,10 +238,7 @@ def solve_coefficients(nu: int, r, prec: int) -> CoefficientSolution:
         wprec = prec + 8 * GUARD + extra
         ctx = singular_modulus(rf, wprec)
         a = alpha_from_context(ctx)
-        try:
-            laurents = substitute_alpha(derivative_stack(nu), ctx, a)
-        except ZeroDivisionError as exc:
-            raise DegenerateSystemError(f"derivative stack has a pole at r={rf}") from exc
+        laurents = substitute_alpha(derivative_stack(nu), ctx, a)
         exps = sorted({e for L in laurents for e in L if e != 0}, reverse=True)
         with mp.workprec(wprec):
             # coefficient of K^e in each stack entry, 0 where it is absent

@@ -20,16 +20,6 @@ def high_ambient_precision():
     mp.prec = saved
 
 
-def mpf_at(x, prec):
-    with mp.workprec(prec):
-        return mpmath.mpf(x)
-
-
-def as_mpf(x):
-    """Unwrap a BigReal (or pass an mpf through)."""
-    return getattr(x, "value", x)
-
-
 def tol_bits(prec, slack):
     """2^(-prec+slack) as an mpf comparison bound."""
     return mpmath.mpf(2) ** (-(prec - slack))

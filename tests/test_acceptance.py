@@ -22,13 +22,13 @@ import pytest
 from mpmath import mp
 
 import piforge as pf
-from piforge.alpha import alpha_4r_with_base_modulus
+from piforge.alpha import (alpha_4r_with_base_modulus, t5_closed_form, t5_eta_form,
+                           t5_rr_form)
 from piforge.catalog import published_by_label
 from piforge.identities import (eta_cube_residual, lambert_alpha_identity,
                                 lambert_alpha_identity_plain_nome,
                                 multiplier_route_residual, quintic_residual,
-                                scaled_lambert_residual, t_closed_residual,
-                                t_eta_residual, t_rr_residual)
+                                scaled_lambert_residual, t5_residual)
 
 from conftest import ke_at_u
 
@@ -117,12 +117,12 @@ def test_criterion_4_identity_suite_60_digits():
     residuals = {
         "weight-2 Lambert at r=3": lambert_alpha_identity(3, P),
         "weight-2 Lambert (plain nome) at r=2": lambert_alpha_identity_plain_nome(2, P),
-        "T(5,1) vs closed form": t_closed_residual(1, P),
+        "T(5,1) vs closed form": t5_residual(t5_closed_form, 1, P),
         "scaled Lambert at (5,1)": scaled_lambert_residual(5, 1, P),
-        "T(5,1) vs eta products": t_eta_residual(1, P),
+        "T(5,1) vs eta products": t5_residual(t5_eta_form, 1, P),
         "eta-cube bridge at r=2": eta_cube_residual(2, P),
-        "T vs R-bracket at r=1": t_rr_residual(1, P),
-        "T vs R-bracket at r=2": t_rr_residual(2, P),
+        "T vs R-bracket at r=1": t5_residual(t5_rr_form, 1, P),
+        "T vs R-bracket at r=2": t5_residual(t5_rr_form, 2, P),
         "multiplier route agreement at r=1": multiplier_route_residual(1, P),
         "degree-5 modular equation at r=1": quintic_residual(1, P),
     }

@@ -1,18 +1,21 @@
 """Alpha function: direct values, reduction routes, Lambert-sum identities."""
 
+import dataclasses
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mp
 
-from piforge import (BigReal, DomainError, InsufficientPrecisionError, alpha_25r,
+from piforge import (BigReal, DomainError, InsufficientPrecisionError,
+                     RootSelectionError, VerificationError, alpha_25r,
                      alpha_4r, alpha_9r, alpha_direct, eisenstein_p, multiplier,
                      multiplier_quintic_residual, nome, singular_modulus,
                      t5_closed_form, t5_eta_form, t5_rr_form, t_sum,
                      triple_modulus_quartic_root)
-from piforge.alpha import alpha_4r_with_base_modulus
-from piforge.bigreal import pi_bits
+from piforge import alpha
+from piforge.alpha import AlphaValue, alpha_4r_with_base_modulus
+from piforge.bigreal import pi_bits, round_to
 
 from conftest import deadline, tol_bits
 
@@ -153,6 +156,23 @@ def test_quartic_root_asks_for_precision_with_wider_contexts_stored():
         triple_modulus_quartic_root(Fraction(1, 1000), 64)
 
 
+def test_quartic_root_reports_a_newton_iteration_that_does_not_settle(monkeypatch):
+    # K[9] off by 2^-40 relative starts Newton that far from the root; two
+    # steps leave a last step near 2^-80 M, far above 2^-(prec+GUARD) M
+    real = alpha.singular_modulus
+
+    def skewed(r, prec):
+        ctx = real(r, prec)
+        if r != 9:
+            return ctx
+        skew = 1 + mpmath.ldexp(1, -40)
+        return dataclasses.replace(ctx, big_k=round_to(ctx.big_k.value * skew, prec))
+
+    monkeypatch.setattr(alpha, "singular_modulus", skewed)
+    with pytest.raises(RootSelectionError, match="did not settle at r=1"):
+        triple_modulus_quartic_root(1, P)
+
+
 def test_alpha_9_route():
     a9 = alpha_9r(alpha_direct(1, P))
     assert a9.route == "via9r"
@@ -193,6 +213,20 @@ def test_eisenstein_limit_at_small_q():
 def test_eisenstein_domain():
     with pytest.raises(DomainError):
         eisenstein_p(BigReal.of(0, P), P)
+
+
+def test_t_sum_and_multiplier_need_p_at_least_2():
+    with pytest.raises(DomainError, match="p must be >= 2"):
+        t_sum(1, 1, P)
+    with pytest.raises(DomainError, match="p must be >= 2"):
+        multiplier(1, 1, P)
+
+
+@pytest.mark.parametrize("value", [0, -1, 2, 3])
+def test_alpha_value_outside_its_window_is_rejected(value):
+    # for r >= 1, 0 < a(r) < sqrt(r); at r = 4 the window is (0, 2)
+    with pytest.raises(VerificationError, match="outside the window"):
+        AlphaValue(r=Fraction(4), value=BigReal.of(value, P), route="direct", prec=P)
 
 
 def test_weight2_identity_at_r3():
@@ -279,24 +313,21 @@ def test_scaled_lambert_identity_5_1():
 
 def test_multiplier_exceeds_one():
     for (p, r) in ((2, 1), (3, 1), (5, 1), (5, 2), (2, 3)):
-        mv = multiplier(p, r, P)
-        assert mv.m.value > 1, f"(p,r)=({p},{r})"
+        assert multiplier(p, r, P).value > 1, f"(p,r)=({p},{r})"
 
 
 def test_multiplier_quintic_at_inverse_ratio():
     for r in (1, 2):
-        mv = multiplier(5, r, P)
-        ctx = singular_modulus(r, P)
-        resid = multiplier_quintic_residual(mv, ctx)
+        resid = multiplier_quintic_residual(r, P)
         assert abs(resid.value) < tol_bits(P, 24), f"r={r}"
 
 
 def test_multiplier_quintic_fails_for_literal_ratio():
     # sentinel: plugging the multiplier itself into the quintic is far off
-    mv = multiplier(5, 1, P)
+    m5 = multiplier(5, 1, P)
     ctx = singular_modulus(1, P)
     with mp.workprec(P + 8):
-        x = mv.m.value
+        x = m5.value
         lhs = (5 * x - 1) ** 5 * (1 - x) - 256 * ctx.k.value ** 2 * ctx.kprime.value ** 2 * x
     assert abs(lhs) > 100
 

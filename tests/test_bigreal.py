@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 from piforge import BigReal, pi_bits
-from piforge.bigreal import decimal_digits, round_to
+from piforge.bigreal import as_fraction, decimal_digits, round_to
 
 from conftest import tol_bits
 
@@ -74,6 +74,13 @@ def test_round_to_halves():
     r = round_to(v, 256)
     assert r.prec == 256
     assert abs(r.value ** 2 - 2) < tol_bits(256, 4)
+
+
+def test_as_fraction_rejects_floats():
+    # a float is not an exact rational: 0.1 would silently become 3602879701896397/2^55
+    assert as_fraction("13/2") == Fraction(13, 2) and as_fraction(7) == Fraction(7)
+    with pytest.raises(TypeError, match="expected a rational"):
+        as_fraction(0.5)
 
 
 def test_decimal_digits_monotone():

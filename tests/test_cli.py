@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from piforge.cli import main
@@ -133,6 +134,25 @@ def test_verification_error_exit_code(capsys, monkeypatch):
     assert "verification failed" in err
 
 
+def test_solve_residual_exit_code(capsys, monkeypatch):
+    # the coefficient solve's own residual check: a solution moved by
+    # 2^-100 relative must fail it, and the CLI must exit 1
+    from piforge import symbolic
+
+    solve = symbolic._solve
+
+    def off(M, rhs):
+        rcond, x = solve(M, rhs)
+        x[0] *= 1 + mpmath.ldexp(1, -100)
+        return rcond, x
+
+    monkeypatch.setattr(symbolic, "_solve", off)
+    code, out, err = run(capsys, ["--prec", "256", "series", "--nu", "2", "--r", "7"])
+    assert code == 1
+    assert out == ""
+    assert "verification failed: coefficient solve at nu=2, r=7: residual" in err
+
+
 def test_degenerate_system_exit_code(capsys):
     code, out, err = run(capsys, PREC + ["series", "--nu", "1", "--r", "3"])
     assert code == 2
@@ -142,7 +162,7 @@ def test_degenerate_system_exit_code(capsys):
 
 def test_stack_pole_exit_code(capsys):
     # at r = 1 + 10^-40, 1 - 2k_r^2 is about 10^-40 and the stack's
-    # denominator (1 - 2u)^(2m) cancels to 0 at the working precision
+    # denominator (1 - 2u)^(2m) falls below its rounding bound
     r = f"{10 ** 40 + 1}/{10 ** 40}"
     code, out, err = run(capsys, ["--prec", "256", "series", "--nu", "2", "--r", r])
     assert code == 2

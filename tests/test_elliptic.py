@@ -215,6 +215,13 @@ def test_theta_at_zero():
     assert theta2(z, P) == 0
 
 
+@pytest.mark.parametrize("fn", [theta2, theta3, theta4, eta_f])
+@pytest.mark.parametrize("q", [Fraction(-1, 10), 1, Fraction(3, 2)])
+def test_theta_forms_reject_q_outside_0_1(fn, q):
+    with pytest.raises(DomainError, match="nome must satisfy 0 <= q < 1"):
+        fn(q, P)
+
+
 def test_jacobi_identity_at_nome2():
     q = nome(2, P)
     lhs = theta3(q, P) ** 4

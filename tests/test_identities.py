@@ -1,11 +1,11 @@
 """The cross-validating identity battery as a whole."""
 
+from piforge.alpha import t5_closed_form, t5_eta_form, t5_rr_form
 from piforge.identities import (eta_cube_residual, identity_battery,
                                 lambert_alpha_identity,
                                 lambert_alpha_identity_plain_nome,
                                 multiplier_route_residual, quintic_residual,
-                                scaled_lambert_residual, t_closed_residual,
-                                t_eta_residual, t_rr_residual)
+                                scaled_lambert_residual, t5_residual)
 
 from conftest import tol_bits
 
@@ -30,12 +30,12 @@ def test_individual_residuals_tight():
     checks = [
         lambert_alpha_identity(3, P),
         lambert_alpha_identity_plain_nome(2, P),
-        t_closed_residual(1, P),
+        t5_residual(t5_closed_form, 1, P),
         scaled_lambert_residual(5, 1, P),
-        t_eta_residual(1, P),
+        t5_residual(t5_eta_form, 1, P),
         eta_cube_residual(2, P),
-        t_rr_residual(1, P),
-        t_rr_residual(2, P),
+        t5_residual(t5_rr_form, 1, P),
+        t5_residual(t5_rr_form, 2, P),
         multiplier_route_residual(1, P),
         quintic_residual(1, P),
     ]

@@ -60,10 +60,10 @@ def test_a_consistency_with_eta_quotient():
 
 
 def test_rr_domain():
-    with pytest.raises(DomainError):
-        rr_eval(BigReal.of(0, P), P)
-    with pytest.raises(DomainError):
-        rr_eval(BigReal.of(1, P), P)
+    for fn in (rr_eval, rr_convergents):
+        for q in (0, 1, Fraction(-1, 2)):
+            with pytest.raises(DomainError, match="R\\(q\\) requires 0 < q < 1"):
+                fn(BigReal.of(q, P), P)
 
 
 def test_rrvalue_reconstruction_invariant():
@@ -151,3 +151,5 @@ def test_r68_printed_orientation_fails():
 def test_y_domain():
     with pytest.raises(DomainError):
         y_value(Fraction(-1, 5), P)
+    with pytest.raises(DomainError, match="no closed form catalogued for Y\\(7/5\\)"):
+        y_closed_form(Fraction(7, 5), P)

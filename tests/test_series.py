@@ -434,6 +434,18 @@ def test_tail_majorant_finite_for_argument_near_one():
     assert math.isfinite(rep.threshold_digits)
 
 
+def test_all_zero_bracket_fails_under_a_finite_threshold():
+    # every term is 0, so the tail majorant is -inf and the threshold falls
+    # back to what the precision holds; the zero sum matches no digit of g/pi^4
+    spec = build_series(2, 2, P)
+    zero = dataclasses.replace(spec, bracket=tuple(BigReal.of(0, P) for _ in spec.bracket))
+    assert series._log_tail_majorant(zero, 10) == -math.inf
+    rep = verify(zero, 10, P)
+    assert rep.threshold_digits == decimal_digits(P) - 12
+    assert rep.partial_sum == 0 and rep.matched_digits == 0
+    assert not rep.passed
+
+
 @pytest.mark.parametrize("nu, r, terms", [(1, 246, 14), (3, 300, 13)])
 def test_tail_majorant_finite_for_tiny_argument(nu, r, terms):
     # |x| < 2^-65: 1 - |x| rounds to 1 at 64 bits, where log(1 - |x|) is -inf

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from piforge import (BigReal, DegenerateSystemError, DomainError,
+from piforge import (BigReal, DegenerateSystemError, DomainError, VerificationError,
                      alpha_direct, build_series, derivative_stack, diff_u, dk_dk,
                      singular_modulus, solve_coefficients, substitute_alpha, symbolic)
 from piforge.bigreal import round_to
@@ -518,9 +518,51 @@ def test_r3_systems_are_well_posed_for_nu_above_1(nu):
 def test_solver_reports_a_stack_pole():
     # at r = 1 + 10^-40, 1 - 2k_r^2 is about 10^-40, and the expanded
     # denominator 2^m (1 - 2u)^(2m), summed as sum_k c_k u^k over the table
-    # of u-powers, cancels to exactly 0 at m = 2
+    # of u-powers, falls below its rounding bound sum_k |c_k| u^k 2^-wprec
     with pytest.raises(DegenerateSystemError, match="derivative stack has a pole"):
         solve_coefficients(2, 1 + Fraction(1, 10 ** 40), 256)
+
+
+@pytest.mark.parametrize("nu, first", [(1, 26), (2, 13), (3, 9)])
+def test_stack_pole_is_decided_from_the_rounding_bound(nu, first):
+    # over r = 1 + 10^-e the pole is reported for one unbroken run of e,
+    # from where 2^m (1 - 2u)^(2m) at the top m meets its rounding bound,
+    # whatever way the round-off falls; below it only the solve's own
+    # checks speak
+    poles = []
+    for e in range(4, 61):
+        try:
+            solve_coefficients(nu, 1 + Fraction(1, 10 ** e), 256)
+        except DegenerateSystemError as exc:
+            if "derivative stack has a pole" in str(exc):
+                poles.append(e)
+    assert poles == list(range(first, 61))
+
+
+def test_solver_reports_a_residual_above_its_bound(monkeypatch):
+    # A_1 moved by 2^-100 relative leaves the eliminated K-powers far above
+    # the 2^-(prec-48) the solve allows
+    solve = symbolic._solve
+
+    def off(M, rhs):
+        rcond, x = solve(M, rhs)
+        x[0] *= 1 + mpmath.ldexp(1, -100)
+        return rcond, x
+
+    monkeypatch.setattr(symbolic, "_solve", off)
+    with pytest.raises(VerificationError, match="residual .* exceeds 2\\^-208"):
+        solve_coefficients(2, 7, 256)
+
+
+def test_solve_of_a_singular_matrix_has_no_solution():
+    with mp.workprec(256):
+        rcond, x = symbolic._solve(mpmath.matrix([[1, 2], [2, 4]]), mpmath.matrix([1, 1]))
+    assert rcond == 0 and x is None
+
+
+def test_derivative_stack_needs_nu_at_least_1():
+    with pytest.raises(DomainError, match="nu must be a positive integer"):
+        derivative_stack(0)
 
 
 def test_solver_condition_threshold_has_margin_at_64_bits():

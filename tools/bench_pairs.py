@@ -62,7 +62,8 @@ WORKLOADS = ("cli_cold", "battery", "evaluate_warm")
 VERIFY_PRECS = (512, 2048, 8192)
 # piforge arguments whose outputs are hashed, each with --format text and json:
 # the cli_cold anchors, solved series, default term counts at large r, a
-# context, the three alpha routes and three error paths
+# context, the three alpha routes, three error paths and the text verify
+# battery at two precisions
 CLI_COMMANDS = (
     "--prec 512 series --nu 3 --r 7",
     "--prec 4096 series --nu 3 --r 7",
@@ -78,6 +79,8 @@ CLI_COMMANDS = (
     "--prec 512 series --nu 2 --r 1 --terms 5",
     "--prec 512 series --nu 1 --r 3",
     "--prec 512 series --nu 2 --r 1/2",
+    "--prec 512 verify",
+    "--prec 2048 verify",
 )
 
 # max-term evaluate calls timed by ``stages``: (nu, r, the precision the spec
@@ -102,12 +105,10 @@ def median_ms(call, before=lambda: None):
     return round(statistics.median(times) * 1e3, 3)
 
 out = {}
-# a revision without the context store builds on every call
-store = getattr(elliptic, "_context", None)
 elliptic.singular_modulus(1, 8208)
 for r in (1, 2, 3, 25):
     out[f"context r={r} prec=8208"] = median_ms(lambda: elliptic.singular_modulus(r, 8208),
-                                                store.cache_clear if store else lambda: None)
+                                                elliptic._context.cache_clear)
 for p in (2, 4, 6):
     out[f"fill p={p} n=420"] = median_ms(lambda: series._scaled(p, 420), series._store.cache_clear)
 for nu in (1, 2, 3):
