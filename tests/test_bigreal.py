@@ -1,13 +1,14 @@
-"""Precision-tag semantics of BigReal and the cached pi."""
+"""Precision-tag semantics of BigReal, the cached pi and the square root."""
 
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import mp
+from mpmath import libmp, mp
 
-from piforge import BigReal, pi_bits
-from piforge.bigreal import as_fraction, decimal_digits, round_to
+from piforge import BigReal, bigreal, pi_bits
+from piforge.bigreal import as_fraction, decimal_digits, round_to, sqrt_mpf
 
 from conftest import tol_bits
 
@@ -59,6 +60,68 @@ def test_pi_against_independent_oracle():
 def test_pi_cache_is_per_precision():
     assert pi_bits(128) is pi_bits(128)
     assert pi_bits(128) != pi_bits(256)
+
+
+@pytest.mark.parametrize("fill", ["ascending", "widest_first"])
+def test_pi_rounds_as_mpmath_pi_at_every_precision(fill):
+    bigreal.pi_bits.cache_clear()
+    bigreal._widest_pi.cache_clear()
+    if fill == "widest_first":
+        pi_bits(9216)
+        bigreal.pi_bits.cache_clear()
+    try:
+        for prec in range(64, 9217):
+            with mp.workprec(prec):
+                assert pi_bits(prec) == +mpmath.pi, prec
+        # the last build: 256 + 8,960 bits from prec 8,705 on, or 256 + 9,216
+        assert bigreal._widest_pi()[0] == {"ascending": 9216, "widest_first": 9472}[fill]
+    finally:
+        bigreal.pi_bits.cache_clear()
+
+
+def test_pi_is_built_only_above_the_widest():
+    bigreal.pi_bits.cache_clear()
+    bigreal._widest_pi.cache_clear()
+    # one verify level asks for prec + 8 to prec + 112 bits: one build each
+    for level, bits in ((512, 1024), (2048, 2560), (8192, 8704), (512, 8704)):
+        for prec in range(level + 8, level + 113):
+            pi_bits(prec)
+            assert bigreal._widest_pi()[0] == bits, (level, prec)
+
+
+def _sqrt_cases():
+    """(prec, x) for seeded random mantissas and exponents at 64 to 9,000 bits:
+    odd and even exponents, exact squares and powers of 4 and of 2."""
+    rng = random.Random(2212)
+    for i in range(3000):
+        prec = rng.randrange(64, 9001)
+        kind = i % 4
+        if kind == 0:
+            man = rng.getrandbits(rng.randrange(1, 2 * prec + 64)) | 1
+        elif kind == 1:
+            man = rng.getrandbits(rng.randrange(1, prec + 32)) ** 2 or 1
+        elif kind == 2:
+            man = 1
+        else:
+            man = rng.getrandbits(prec // 2 + 1) | 1
+        exp = rng.randrange(-3 * prec, 3 * prec)
+        yield prec, mp.make_mpf(libmp.from_man_exp(man, exp))
+
+
+def test_sqrt_mpf_matches_mpmath_sqrt_bit_for_bit():
+    cases = list(_sqrt_cases())
+    assert {int(x._mpf_[2]) % 2 for _, x in cases} == {0, 1}
+    for prec, x in cases:
+        with mp.workprec(prec):
+            assert sqrt_mpf(x)._mpf_ == mpmath.sqrt(x)._mpf_, (prec, x._mpf_)
+        with mp.workprec(53):
+            assert sqrt_mpf(x)._mpf_ == mpmath.sqrt(x)._mpf_, (53, x._mpf_)
+
+
+def test_sqrt_mpf_of_zero_and_of_a_negative():
+    assert sqrt_mpf(mpmath.mpf(0)) == 0
+    with pytest.raises(ValueError):
+        sqrt_mpf(mpmath.mpf(-2))
 
 
 def test_decimal_round_trip():

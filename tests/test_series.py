@@ -1,12 +1,14 @@
 """Coefficients, brackets, series construction, evaluation, replay, JSON."""
 
 import dataclasses
+import importlib.util
 import json
 import math
 import random
 from fractions import Fraction
 from math import comb
 from operator import mul
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from piforge import (BigReal, DomainError, InsufficientPrecisionError,
-                     NonConvergentSeriesError, SeriesSpec, bracket_from_a,
+                     NonConvergentSeriesError, SeriesSpec, VerificationError, bracket_from_a,
                      build_series, cp, evaluate, from_json,
                      replay_published, series, singular_modulus,
                      solve_coefficients, stirling_first, to_json, verify)
@@ -63,6 +65,11 @@ def test_cp_rejects_odd_p():
         cp(4, -1)
 
 
+def test_cp_rejects_p_without_a_recurrence():
+    with pytest.raises(DomainError, match=r"\{2, 4, 6\}"):
+        cp(8, 1)
+
+
 def _fraction_coefficients(p, count):
     """Reference c_p(n), n < count: Fraction convolution of C(2n,n)^3/64^n."""
     base = [Fraction(comb(2 * n, n) ** 3, 64 ** n) for n in range(count)]
@@ -108,6 +115,62 @@ def test_power_recurrence_matches_convolution_chain(convolution_tables, order):
     series._store.cache_clear()
     for p in order:
         assert series._scaled(p, 420)[:421] == convolution_tables[p], p
+
+
+def _miller_reference(p, n):
+    """The former store fill: N_p(0..n) from N_1(m) = C(2m,m)^3 alone by
+    J.C.P. Miller's power recurrence, m N_p(m) = sum_k ((p+1)k - m) N_1(k) N_p(m-k)."""
+    base = [comb(2 * m, m) ** 3 for m in range(n + 1)]
+    table = [1]
+    for m in range(1, n + 1):
+        weighted = map(mul, range(p + 1 - m, p * m + 1, p + 1), base[1:m + 1])
+        table.append(sum(map(mul, weighted, table[m - 1::-1])) // m)
+    return table
+
+
+@pytest.mark.parametrize("p", [2, 4, 6])
+def test_recurrence_fill_matches_miller_reference(p):
+    series._store.cache_clear()
+    assert series._scaled(p, 700)[:701] == _miller_reference(p, 700)
+
+
+def test_fill_in_steps_matches_miller_reference():
+    series._store.cache_clear()
+    for p in (2, 4, 6):
+        for n in (0, p - 1, p, p + 1, 2 * p + 3, 40, 41, 150):
+            series._scaled(p, n)
+        assert series._store(p)[:151] == _miller_reference(p, 150), p
+
+
+@pytest.mark.parametrize("p", [2, 4, 6])
+def test_recurrence_ends_are_the_stated_powers(p):
+    # the leading polynomial (m + p)^(2p+1) has no root at m >= 0, so no
+    # step of the fill divides by zero
+    initial, polys = series._RECURRENCES[p]
+    assert len(initial) == p and len(polys) == p + 1
+    power = [comb(2 * p + 1, j) for j in range(2 * p + 2)]
+    assert polys[-1] == tuple(c * p ** (2 * p + 1 - j) for j, c in enumerate(power))
+    assert polys[0] == tuple(64 ** p * c * (p // 2) ** (2 * p + 1 - j)
+                             for j, c in enumerate(power))
+
+
+def test_fill_rejects_a_remainder(monkeypatch):
+    initial, polys = series._RECURRENCES[6]
+    broken = (polys[0][:3] + (polys[0][3] + 1,) + polys[0][4:], *polys[1:])
+    monkeypatch.setitem(series._RECURRENCES, 6, (initial, broken))
+    series._store.cache_clear()
+    with pytest.raises(VerificationError, match="N_6"):
+        series._scaled(6, 40)
+    series._store.cache_clear()
+
+
+def test_derivation_tool_reprints_the_committed_tables():
+    path = Path(__file__).resolve().parents[1] / "tools" / "derive_recurrences.py"
+    loader = importlib.util.spec_from_file_location("derive_recurrences", path)
+    tool = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(tool)
+    for p in (2, 4, 6):
+        assert tool.guess(p) == series._RECURRENCES[p], p
 
 
 def test_evaluate_bit_identical_to_fraction_path():
@@ -655,3 +718,7 @@ def test_spec_invariants_enforced():
     with pytest.raises(NonConvergentSeriesError):
         SeriesSpec(nu=2, r=spec.r, x=BigReal.of(2, P), bracket=spec.bracket,
                    g=spec.g, prec=P)
+    for nu in (0, 4):
+        with pytest.raises(DomainError, match=r"\{1, 2, 3\}"):
+            SeriesSpec(nu=nu, r=spec.r, x=spec.x, bracket=(spec.bracket[0],) * (2 * nu + 1),
+                       g=spec.g, prec=P)

@@ -28,7 +28,8 @@ in ``CLI_COMMANDS``, in text and in JSON, and ``stages``, per key the median
 over ``STAGE_RUNS`` fresh interpreters of that interpreter's median of 7
 timings in ms: of each max-term ``evaluate`` of ``STAGE_SUMS`` after one
 untimed call, of cold fills of the coefficient store to n = 420 for p = 2, 4
-and 6 (``fill p=... n=420``, each from an emptied store), of
+and 6 and to n = 700 for p = 6 (``fill p=... n=...``, each from an emptied
+store), of
 ``singular_modulus(r, 8208)`` for r = 1, 2, 3 and 25 (``context r=...
 prec=8208``, each from an emptied context store, after one untimed call fills
 the pi cache), of ``solve_coefficients(nu, 13/2, 8192)`` for nu = 1, 2 and 3
@@ -109,8 +110,8 @@ elliptic.singular_modulus(1, 8208)
 for r in (1, 2, 3, 25):
     out[f"context r={r} prec=8208"] = median_ms(lambda: elliptic.singular_modulus(r, 8208),
                                                 elliptic._context.cache_clear)
-for p in (2, 4, 6):
-    out[f"fill p={p} n=420"] = median_ms(lambda: series._scaled(p, 420), series._store.cache_clear)
+for p, n in ((2, 420), (4, 420), (6, 420), (6, 700)):
+    out[f"fill p={p} n={n}"] = median_ms(lambda: series._scaled(p, n), series._store.cache_clear)
 for nu in (1, 2, 3):
     solve_coefficients(nu, Fraction(13, 2), 8192)
     out[f"solve nu={nu} r=13/2 prec=8192"] = median_ms(
