@@ -37,7 +37,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from .bigreal import BigReal, as_fraction, mpf_of, pi_bits, round_to
+from .bigreal import BigReal, as_fraction, mpf_of, pi_bits, round_to, sqrt_mpf
 from .elliptic import GUARD, ModulusContext, _q_series, eta_f, nome, singular_modulus
 from .errors import DomainError, RootSelectionError, VerificationError
 from .rr import rr_eval
@@ -59,7 +59,7 @@ class AlphaValue:
         # sanity window for r >= 1: 0 < a(r) < sqrt(r)
         if self.r >= 1:
             with mp.workprec(self.prec):
-                sr = mpmath.sqrt(mpf_of(self.r, self.prec))
+                sr = sqrt_mpf(mpf_of(self.r, self.prec))
                 if not (0 < self.value.value < sr):
                     raise VerificationError(
                         f"a({self.r}) = {mpmath.nstr(self.value.value, 8)} "
@@ -88,7 +88,7 @@ def _alpha_4r_formula(a_r: AlphaValue, r_k) -> BigReal:
     wprec = prec + 2 * GUARD
     k = singular_modulus(r_k, wprec).k.value
     with mp.workprec(wprec):
-        sr = mpmath.sqrt(mpf_of(a_r.r, wprec))
+        sr = sqrt_mpf(mpf_of(a_r.r, wprec))
         v = (1 + k) ** 2 * a_r.value.value - 2 * sr * k
     return round_to(v, prec)
 
@@ -156,7 +156,7 @@ def alpha_9r(a_r: AlphaValue) -> AlphaValue:
     ctx9 = singular_modulus(9 * rf, wprec)
     M = triple_modulus_quartic_root(rf, wprec)
     with mp.workprec(wprec):
-        sr = mpmath.sqrt(mpf_of(rf, wprec))
+        sr = sqrt_mpf(mpf_of(rf, wprec))
         k, kp = ctx.k.value, ctx.kprime.value
         k9, k9p = ctx9.k.value, ctx9.kprime.value
         Mv = M.value
@@ -236,7 +236,7 @@ def t5_eta_form(r, prec: int) -> BigReal:
     y = eta_f(q ** 10, wprec)
     with mp.workprec(wprec):
         xv, yv = x.value ** 6, y.value ** 6
-        rad = mpmath.sqrt(xv ** 2 + 22 * q.value ** 2 * xv * yv + 125 * q.value ** 4 * yv ** 2)
+        rad = sqrt_mpf(xv ** 2 + 22 * q.value ** 2 * xv * yv + 125 * q.value ** 4 * yv ** 2)
         out = -4 * rad / mpmath.root(xv * yv, 6)
     return round_to(out, prec)
 

@@ -12,8 +12,9 @@ together with the Gauss-Legendre side sum, which gives pi (``pi_bits``),
 and through ``elliptic`` agm, K and E. pi is built only when a request is
 wider than the widest pi built so far, and every precision is rounded once
 from that one value and cached; each call rounds the value it read or built,
-so concurrent fills are safe. ``sqrt_mpf`` is mpmath's correctly rounded
-square root, bit for bit, with the integer root taken by ``math.isqrt``.
+so concurrent fills are safe. ``sqrt_mpf`` is the package's one square
+root: mpmath's correctly rounded root, bit for bit, with the integer root
+taken by ``math.isqrt``; ``mpf_of`` is its one rational-to-mpf conversion.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ def _check_prec(prec: int) -> int:
 def sqrt_mpf(x: mpmath.mpf) -> mpmath.mpf:
     """mpmath.sqrt(x) for an mpf x >= 0, correctly rounded at the ambient precision.
 
+    The package's one square root: every module takes its roots here.
     It takes the steps of mpmath's ``mpf_sqrt`` and so returns the same bits,
     with the integer root from ``math.isqrt`` (C) in place of mpmath's
     pure-Python Newton loop. An odd exponent moves one bit into the mantissa;
@@ -206,7 +208,7 @@ class BigReal:
 
     def sqrt(self) -> "BigReal":
         with mp.workprec(self.prec):
-            return BigReal(mpmath.sqrt(self.value), self.prec)
+            return BigReal(sqrt_mpf(self.value), self.prec)
 
     # -- comparisons (exact on the underlying binary values) ----------------
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from .bigreal import BigReal, decimal_digits, pi_bits, round_to
+from .bigreal import BigReal, decimal_digits, mpf_of, pi_bits, round_to, sqrt_mpf
 from .elliptic import GUARD
 from .errors import DomainError
 from .rr import y_value
@@ -45,10 +45,9 @@ class QuadSurd:
 
     def eval(self, prec: int) -> BigReal:
         with mp.workprec(prec + GUARD):
-            v = mpmath.mpf(self.a.numerator) / self.a.denominator
+            v = mpf_of(self.a, prec + GUARD)
             if self.b:
-                v += (mpmath.mpf(self.b.numerator) / self.b.denominator
-                      * mpmath.sqrt(self.d))
+                v += mpf_of(self.b, prec + GUARD) * sqrt_mpf(mpmath.mpf(self.d))
         return round_to(v, prec)
 
 
@@ -77,8 +76,7 @@ class PublishedSeries:
         # g such that the sum equals g/pi^(2nu); for the published data this
         # is rhs_num/rhs_den (already in the published normalization)
         with mp.workprec(prec + GUARD):
-            g = (mpmath.mpf(self.rhs_num.numerator) / self.rhs_num.denominator
-                 / self.rhs_den.eval(prec + GUARD).value)
+            g = mpf_of(self.rhs_num, prec + GUARD) / self.rhs_den.eval(prec + GUARD).value
         return SeriesSpec(nu=self.nu, r=self.r, x=xv, bracket=bracket,
                           g=round_to(g, prec), prec=prec, provenance="published",
                           n_start=self.n_start_effective, label=self.label)
@@ -86,7 +84,7 @@ class PublishedSeries:
     def rhs_value(self, prec: int) -> BigReal:
         """Published right side rhs_num/(rhs_den * pi^(2nu))."""
         with mp.workprec(prec + GUARD):
-            v = (mpmath.mpf(self.rhs_num.numerator) / self.rhs_num.denominator
+            v = (mpf_of(self.rhs_num, prec + GUARD)
                  / self.rhs_den.eval(prec + GUARD).value
                  / pi_bits(prec + GUARD) ** (2 * self.nu))
         return round_to(v, prec)
@@ -242,8 +240,9 @@ def _nested_radical(row, prec: int) -> BigReal:
     """m (a + b sqrt(d) + c sqrt(f (g + h sqrt(d)))) for row = (m, a, b, d, c, f, g, h)."""
     m, a, b, d, c, f, g, h = row
     with mp.workprec(prec + GUARD):
-        v = a + b * mpmath.sqrt(d) + c * mpmath.sqrt(f * (g + h * mpmath.sqrt(d)))
-        return round_to(mpmath.mpf(m.numerator) / m.denominator * v, prec)
+        sd = sqrt_mpf(mpmath.mpf(d))
+        v = a + b * sd + c * sqrt_mpf(f * (g + h * sd))
+        return round_to(mpf_of(m, prec + GUARD) * v, prec)
 
 
 def y_closed_form(s: Fraction, prec: int) -> BigReal:
@@ -284,6 +283,6 @@ def r68_identity_residual(prec: int) -> BigReal:
     y17 = y_closed_form(Fraction(17, 5), prec + 2 * GUARD)
     x = r68_radical(prec + 2 * GUARD)
     with mp.workprec(prec + 2 * GUARD):
-        u = (mpmath.sqrt(x.value + 4) - mpmath.sqrt(x.value)) / 2
+        u = (sqrt_mpf(x.value + 4) - sqrt_mpf(x.value)) / 2
         resid = abs(y68.value * u - y17.value)
     return round_to(resid, prec)

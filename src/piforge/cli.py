@@ -27,7 +27,7 @@ from mpmath import mp
 
 from . import catalog, series
 from .alpha import ROUTE_DIRECT, alpha_25r, alpha_4r, alpha_9r, alpha_direct
-from .bigreal import BigReal, as_fraction, decimal_digits
+from .bigreal import BigReal, as_fraction, decimal_digits, mpf_of
 from .elliptic import GUARD, singular_modulus
 from .errors import (DomainError, InsufficientPrecisionError, PiforgeError,
                      VerificationError)
@@ -145,7 +145,7 @@ def cmd_alpha(args) -> int:
     ]
     if residual is not None:
         lines.append(f"|route - direct| = {doc['route_residual']} (threshold {doc['threshold']})")
-        if residual > mpmath.mpf(threshold.numerator) / threshold.denominator:
+        if residual > mpf_of(threshold, prec):
             _emit(doc, args, lines + ["FAIL: route disagrees with direct evaluation"])
             return EXIT_VERIFY_FAIL
     _emit(doc, args, lines)

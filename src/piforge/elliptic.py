@@ -110,7 +110,7 @@ def nome(r, prec: int) -> BigReal:
         raise DomainError(f"r must be positive, got {rf}")
     wprec = prec + 2 * GUARD
     with mp.workprec(wprec):
-        sr = mpmath.sqrt(mpmath.mpf(rf.numerator) / rf.denominator)
+        sr = sqrt_mpf(mpf_of(rf, wprec))
         out = mpmath.exp(-pi_bits(wprec) * sr)
     return round_to(out, prec)
 
@@ -229,7 +229,7 @@ class ModulusContext:
 
     def sqrt_r(self) -> BigReal:
         with mp.workprec(self.prec + GUARD):
-            v = mpmath.sqrt(mpmath.mpf(self.r.numerator) / self.r.denominator)
+            v = sqrt_mpf(mpf_of(self.r, self.prec + GUARD))
         return round_to(v, self.prec)
 
     def defining_residual(self) -> BigReal:
@@ -299,7 +299,7 @@ def _context(rf: Fraction, prec: int) -> tuple[mpmath.mpf, ...]:
         return (qs, kv, kpv, *_ell_ke(round_to(kv, wprec), prec))
     ks, es = (round_to(v, wprec).value for v in _ell_ke(round_to(kv, wprec), wprec))
     with mp.workprec(wprec):
-        kr = ks / mpmath.sqrt(mpmath.mpf(rf.numerator) / rf.denominator)
+        kr = ks / sqrt_mpf(mpf_of(rf, wprec))
         er = (pi_bits(wprec) / 2 + kr * (ks - es)) / ks
     return nome(rf, wprec).value, kpv, kv, kr, er
 

@@ -20,7 +20,7 @@ from mpmath import mp
 
 from .alpha import (alpha_direct, eisenstein_p, multiplier_quintic_residual,
                     t5_closed_form, t5_eta_form, t5_rr_form, t_sum)
-from .bigreal import BigReal, as_fraction, decimal_digits, pi_bits, round_to
+from .bigreal import BigReal, as_fraction, decimal_digits, pi_bits, round_to, sqrt_mpf
 from .elliptic import GUARD, eta_f, singular_modulus
 from .rr import multiplier5_algebraic
 
@@ -99,7 +99,7 @@ def eta_cube_residual(r, prec: int) -> BigReal:
     with mp.workprec(wprec):
         piv = pi_bits(wprec)
         rhs = (2 * ctx.k.value * ctx.kprime.value * ctx.big_k.value ** 3
-               / (piv ** 3 * mpmath.sqrt(ctx.q.value)))
+               / (piv ** 3 * sqrt_mpf(ctx.q.value)))
         resid = abs(f.value ** 6 - rhs)
     return round_to(resid, prec)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp
 
-from .bigreal import BigReal, as_fraction, mpf_of, round_to
+from .bigreal import BigReal, as_fraction, mpf_of, round_to, sqrt_mpf
 from .elliptic import GUARD, ModulusContext, _q_series, nome, singular_modulus
 from .errors import DomainError
 
@@ -104,8 +104,8 @@ def multiplier5_algebraic(ctx_r: ModulusContext, ctx_25r: ModulusContext) -> Big
     with mp.workprec(prec + GUARD):
         k, kp = ctx_r.k.value, ctx_r.kprime.value
         l, lp = ctx_25r.k.value, ctx_25r.kprime.value
-        w = mpmath.sqrt(k * l)
-        wp = mpmath.sqrt(kp * lp)
+        w = sqrt_mpf(k * l)
+        wp = sqrt_mpf(kp * lp)
         m5 = w / k + wp / kp - w * wp / (k * kp)
     return round_to(m5, prec)
 
@@ -122,8 +122,8 @@ def a_r_algebraic(r, prec: int) -> BigReal:
     m5 = multiplier5_algebraic(ctx, ctx25)
     with mp.workprec(prec + 2 * GUARD):
         k, kp = ctx.k.value, ctx.kprime.value
-        w = mpmath.sqrt(k * ctx25.k.value)
-        wp = mpmath.sqrt(kp * ctx25.kprime.value)
+        w = sqrt_mpf(k * ctx25.k.value)
+        wp = sqrt_mpf(kp * ctx25.kprime.value)
         out = (k * kp / (w * wp)) ** 2 * m5.value ** 3
     return round_to(out, prec)
 

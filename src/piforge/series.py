@@ -289,7 +289,6 @@ class VerificationReport:
     """Outcome of checking a partial sum against its closed-form target."""
 
     label: str
-    nu: int
     r: Fraction
     terms: int
     partial_sum: BigReal
@@ -373,7 +372,7 @@ def verify(spec: SeriesSpec, terms: int, prec: int,
     d = spec.dpt()
     return VerificationReport(
         label=spec.label or f"nu={spec.nu} r={spec.r}",
-        nu=spec.nu, r=spec.r, terms=terms,
+        r=spec.r, terms=terms,
         partial_sum=s, target=t, abs_error=round_to(err, prec),
         matched_digits=matched, predicted_digits=terms * d, dpt=d,
         threshold_digits=threshold, passed=matched >= threshold,

@@ -194,7 +194,6 @@ class CoefficientSolution:
     square system and ``rcond`` its reciprocal 1-norm condition number.
     """
 
-    nu: int
     r: Rational
     x: BigReal
     a_coeffs: tuple
@@ -202,7 +201,6 @@ class CoefficientSolution:
     residual: BigReal
     rank: int
     rcond: BigReal
-    prec: int
 
 
 def solve_coefficients(nu: int, r, prec: int) -> CoefficientSolution:
@@ -281,7 +279,6 @@ def solve_coefficients(nu: int, r, prec: int) -> CoefficientSolution:
                 f"{mpmath.nstr(residual, 8)} exceeds 2^-{prec - 48} "
                 f"(rank {len(exps)})")
     return CoefficientSolution(
-        nu=nu,
         r=rf,
         x=round_to(ctx.series_argument().value, prec),
         a_coeffs=tuple(round_to(v, prec) for v in a_coeffs),
@@ -289,5 +286,4 @@ def solve_coefficients(nu: int, r, prec: int) -> CoefficientSolution:
         residual=round_to(residual, prec),
         rank=len(exps),
         rcond=round_to(rcond, prec),
-        prec=prec,
     )

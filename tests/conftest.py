@@ -5,6 +5,8 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from piforge import alpha, bigreal, catalog, elliptic, identities, rr, series, symbolic
+
 
 @pytest.fixture(autouse=True, scope="session")
 def high_ambient_precision():
@@ -18,6 +20,14 @@ def high_ambient_precision():
     mp.prec = 1536
     yield
     mp.prec = saved
+
+
+def clear_caches():
+    """Empty every piforge lru_cache, so the next call computes from scratch."""
+    for mod in (bigreal, elliptic, alpha, rr, symbolic, series, catalog, identities):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear") and obj.__module__.startswith("piforge"):
+                obj.cache_clear()
 
 
 def tol_bits(prec, slack):

@@ -13,14 +13,9 @@ import pytest
 from mpmath import mp
 
 import piforge as pf
-from piforge import alpha, bigreal, catalog, elliptic, identities, rr, series, symbolic
+from piforge import identities
 
-
-def clear_caches():
-    for mod in (bigreal, elliptic, alpha, rr, symbolic, series, catalog, identities):
-        for obj in vars(mod).values():
-            if hasattr(obj, "cache_clear") and obj.__module__.startswith("piforge"):
-                obj.cache_clear()
+from conftest import clear_caches
 
 
 def spec(prec):
@@ -32,6 +27,7 @@ ENTRY_POINTS = {
     "ell_k": lambda p: pf.ell_k(Fraction(3, 5), p),
     "ell_e": lambda p: pf.ell_e(Fraction(3, 5), p),
     "nome": lambda p: pf.nome(Fraction(7, 2), p),
+    "singular_modulus": lambda p: pf.singular_modulus(Fraction(1, 3), p),
     "theta4": lambda p: pf.theta4(Fraction(1, 10), p),
     "eisenstein_p": lambda p: pf.eisenstein_p(Fraction(1, 10), p),
     "t_sum": lambda p: pf.t_sum(5, 1, p),

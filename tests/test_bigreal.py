@@ -7,10 +7,11 @@ import mpmath
 import pytest
 from mpmath import libmp, mp
 
-from piforge import BigReal, bigreal, pi_bits
+import piforge as pf
+from piforge import BigReal, bigreal, cli, pi_bits
 from piforge.bigreal import as_fraction, decimal_digits, round_to, sqrt_mpf
 
-from conftest import tol_bits
+from conftest import clear_caches, tol_bits
 
 
 def test_minimum_precision_enforced():
@@ -122,6 +123,26 @@ def test_sqrt_mpf_of_zero_and_of_a_negative():
     assert sqrt_mpf(mpmath.mpf(0)) == 0
     with pytest.raises(ValueError):
         sqrt_mpf(mpmath.mpf(-2))
+
+
+def test_the_package_takes_no_root_through_mpmath_sqrt(monkeypatch, capsys):
+    """sqrt_mpf is the package's one square root: with mpmath.sqrt refusing,
+    the verify battery, an r < 1 context, the three routes, the algebraic
+    A_r, a nu = 3 series and BigReal.sqrt still run, from emptied caches."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath.sqrt called")
+
+    clear_caches()
+    monkeypatch.setattr(mpmath, "sqrt", refuse)
+    assert cli.main(["--prec", "512", "verify"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+    pf.singular_modulus(Fraction(1, 3), 512).defining_residual()
+    pf.alpha_4r(pf.alpha_direct(2, 512))
+    pf.alpha_9r(pf.alpha_direct(1, 512))
+    pf.alpha_25r(pf.alpha_direct(1, 512))
+    pf.a_r_algebraic(2, 512)
+    pf.build_series(3, 7, 512)
+    assert BigReal.of(4, 512).sqrt() == 2
 
 
 def test_decimal_round_trip():

@@ -63,8 +63,8 @@ WORKLOADS = ("cli_cold", "battery", "evaluate_warm")
 VERIFY_PRECS = (512, 2048, 8192)
 # piforge arguments whose outputs are hashed, each with --format text and json:
 # the cli_cold anchors, solved series, default term counts at large r, a
-# context, the three alpha routes, three error paths and the text verify
-# battery at two precisions
+# context for r > 1 and one for r < 1, the three alpha routes, three error
+# paths and the text verify battery at two precisions
 CLI_COMMANDS = (
     "--prec 512 series --nu 3 --r 7",
     "--prec 4096 series --nu 3 --r 7",
@@ -74,6 +74,7 @@ CLI_COMMANDS = (
     "--prec 1024 series --nu 2 --r 1000",
     "--prec 1024 series --nu 1 --r 246",
     "--prec 3072 modulus 14",
+    "--prec 512 modulus 1/3",
     "--prec 1024 alpha 58 --route 4r",
     "--prec 1024 alpha 117/2 --route 9r",
     "--prec 1024 alpha 375/2 --route 25r",
