@@ -49,9 +49,9 @@ def _check_prec(prec: int) -> int:
 
 
 def sqrt_mpf(x: mpmath.mpf) -> mpmath.mpf:
-    """mpmath.sqrt(x) for an mpf x >= 0, correctly rounded at the ambient precision.
+    """The square root of an mpf x >= 0 as ``mpmath.sqrt`` gives it, correctly
+    rounded at the ambient precision. The package's one square root.
 
-    The package's one square root: every module takes its roots here.
     It takes the steps of mpmath's ``mpf_sqrt`` and so returns the same bits,
     with the integer root from ``math.isqrt`` (C) in place of mpmath's
     pure-Python Newton loop. An odd exponent moves one bit into the mantissa;
