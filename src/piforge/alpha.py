@@ -13,8 +13,7 @@ regression tests:
 
 * a(4r) uses the *quadrupled* modulus: a(4r) = (1+k_4r)^2 a(r) - 2 sqrt(r) k_4r.
   The variant with k_r in place of k_4r (which also circulates) is wrong by
-  ~0.30 at r=1 and is kept only as a sentinel
-  (``alpha_4r_with_base_modulus``).
+  ~0.30 at r=1; the test suite pins that miss.
 * the cubic-multiplier quartic 27 M^4 - 18 M^2 - 8(1-2 k_r^2) M - 1 = 0 is
   satisfied by M = K[9r]/K[r], not by the inverse K[r]/K[9r]; the root is
   taken by Newton's method started from that numeric quotient.
@@ -53,13 +52,13 @@ class AlphaValue:
     r: Fraction
     value: BigReal
     route: str
-    prec: int
 
     def __post_init__(self):
         # sanity window for r >= 1: 0 < a(r) < sqrt(r)
         if self.r >= 1:
-            with mp.workprec(self.prec):
-                sr = sqrt_mpf(mpf_of(self.r, self.prec))
+            prec = self.value.prec
+            with mp.workprec(prec):
+                sr = sqrt_mpf(mpf_of(self.r, prec))
                 if not (0 < self.value.value < sr):
                     raise VerificationError(
                         f"a({self.r}) = {mpmath.nstr(self.value.value, 8)} "
@@ -79,33 +78,18 @@ def alpha_from_context(ctx: ModulusContext, prec: int | None = None) -> AlphaVal
         K = ctx.big_k.value
         E = ctx.big_e.value
         v = pi_bits(ctx.prec + GUARD) / (4 * K * K) - ctx.sqrt_r().value * (E / K - 1)
-    return AlphaValue(r=ctx.r, value=round_to(v, prec), route=ROUTE_DIRECT, prec=prec)
-
-
-def _alpha_4r_formula(a_r: AlphaValue, r_k) -> BigReal:
-    """(1 + k)^2 a(r) - 2 sqrt(r) k with k the singular modulus k_{r_k}."""
-    prec = a_r.prec
-    wprec = prec + 2 * GUARD
-    k = singular_modulus(r_k, wprec).k.value
-    with mp.workprec(wprec):
-        sr = sqrt_mpf(mpf_of(a_r.r, wprec))
-        v = (1 + k) ** 2 * a_r.value.value - 2 * sr * k
-    return round_to(v, prec)
+    return AlphaValue(r=ctx.r, value=round_to(v, prec), route=ROUTE_DIRECT)
 
 
 def alpha_4r(a_r: AlphaValue) -> AlphaValue:
     """a(4r) = (1 + k_4r)^2 a(r) - 2 sqrt(r) k_4r."""
-    v = _alpha_4r_formula(a_r, 4 * a_r.r)
-    return AlphaValue(r=4 * a_r.r, value=v, route=ROUTE_4R, prec=v.prec)
-
-
-def alpha_4r_with_base_modulus(a_r: AlphaValue) -> BigReal:
-    """Known-incorrect a(4r) variant using k_r instead of k_4r.
-
-    Kept as a regression sentinel: at r=1 it misses the true a(4) by
-    about 0.30. Never used as a computation route.
-    """
-    return _alpha_4r_formula(a_r, a_r.r)
+    prec = a_r.value.prec
+    wprec = prec + 2 * GUARD
+    k = singular_modulus(4 * a_r.r, wprec).k.value
+    with mp.workprec(wprec):
+        sr = sqrt_mpf(mpf_of(a_r.r, wprec))
+        v = (1 + k) ** 2 * a_r.value.value - 2 * sr * k
+    return AlphaValue(r=4 * a_r.r, value=round_to(v, prec), route=ROUTE_4R)
 
 
 def triple_modulus_quartic_root(r, prec: int) -> BigReal:
@@ -149,7 +133,7 @@ def alpha_9r(a_r: AlphaValue) -> AlphaValue:
         a(9r)/sqrt(r) - k_9r^2 = 1 - (k_9r k_r + k'_9r k'_r + 1)/(3M)
                                  - 1/(3M^2) + (a(r)/sqrt(r) - k_r^2/3)/M^2.
     """
-    prec = a_r.prec
+    prec = a_r.value.prec
     wprec = prec + 4 * GUARD
     rf = a_r.r
     ctx = singular_modulus(rf, wprec)
@@ -163,7 +147,7 @@ def alpha_9r(a_r: AlphaValue) -> AlphaValue:
         rhs = (1 - k9 * k / (3 * Mv) - k9p * kp / (3 * Mv) - 1 / (3 * Mv)
                - 1 / (3 * Mv ** 2) + (a_r.value.value / sr - k ** 2 / 3) / Mv ** 2)
         v = sr * (rhs + k9 ** 2)
-    return AlphaValue(r=9 * rf, value=round_to(v, prec), route=ROUTE_9R, prec=prec)
+    return AlphaValue(r=9 * rf, value=round_to(v, prec), route=ROUTE_9R)
 
 
 def eisenstein_p(q, prec: int) -> BigReal:
@@ -306,7 +290,7 @@ def alpha_25r(a_r: AlphaValue) -> AlphaValue:
 
     with R = R(q^2), A = R^-5 - 11 - R^5 and m5 = K[r]/K[25r].
     """
-    prec = a_r.prec
+    prec = a_r.value.prec
     wprec = prec + 4 * GUARD
     rf = a_r.r
     ctx = singular_modulus(rf, wprec)
@@ -323,4 +307,4 @@ def alpha_25r(a_r: AlphaValue) -> AlphaValue:
                - mpmath.root(4, 3) * (k * kp) ** Fraction(2, 3)
                * (R5 + 1 / R5) / rrv.A.value ** Fraction(5, 6))
         v = rhs * m5 ** 2 * sr / 3
-    return AlphaValue(r=25 * rf, value=round_to(v, prec), route=ROUTE_25R, prec=prec)
+    return AlphaValue(r=25 * rf, value=round_to(v, prec), route=ROUTE_25R)

@@ -205,6 +205,10 @@ class SeriesSpec:
         if not -1 < self.x.value < 1:     # exact: comparisons with ints do not round
             raise NonConvergentSeriesError(
                 f"series argument |x| = {mpmath.nstr(abs(self.x.value), 8)} >= 1")
+        if self.x.value == 0:
+            raise DomainError("series argument x = 0 has no finite digits per term")
+        if self.n_start < 0:
+            raise DomainError(f"n_start must be >= 0, got {self.n_start}")
 
     def dpt(self) -> float:
         """Decimal digits gained per term: -log10 |x|.
@@ -289,14 +293,12 @@ class VerificationReport:
     """Outcome of checking a partial sum against its closed-form target."""
 
     label: str
-    r: Fraction
     terms: int
     partial_sum: BigReal
     target: BigReal
     abs_error: BigReal
     matched_digits: float
     predicted_digits: float
-    dpt: float
     threshold_digits: float
     passed: bool
 
@@ -369,12 +371,10 @@ def verify(spec: SeriesSpec, terms: int, prec: int,
     tail = _log_tail_majorant(spec, spec.n_start + terms)
     threshold = min((log_target - tail - math.log(2)) / math.log(10),
                     decimal_digits(prec) - 12)
-    d = spec.dpt()
     return VerificationReport(
-        label=spec.label or f"nu={spec.nu} r={spec.r}",
-        r=spec.r, terms=terms,
+        label=spec.label or f"nu={spec.nu} r={spec.r}", terms=terms,
         partial_sum=s, target=t, abs_error=round_to(err, prec),
-        matched_digits=matched, predicted_digits=terms * d, dpt=d,
+        matched_digits=matched, predicted_digits=terms * spec.dpt(),
         threshold_digits=threshold, passed=matched >= threshold,
     )
 

@@ -48,7 +48,7 @@ from numbers import Rational
 import mpmath
 from mpmath import mp
 
-from .alpha import AlphaValue, alpha_from_context
+from .alpha import alpha_from_context
 from .bigreal import BigReal, as_fraction, pi_bits, round_to
 from .elliptic import GUARD, ModulusContext, singular_modulus
 from .errors import (DegenerateSystemError, DomainError, NonConvergentSeriesError,
@@ -123,10 +123,11 @@ def derivative_stack(nu: int) -> tuple:
     return tuple(stack)
 
 
-def substitute_alpha(stack, ctx: ModulusContext, a: AlphaValue) -> list:
-    """Replace every E by lambda K + mu/K, lambda = 1 - a/sqrt(r) and
-    mu = pi/(4 sqrt(r)), in each entry (P, den) of ``stack`` at u = k_r^2: one
-    Laurent polynomial in K per entry, {K-exponent: BigReal} without zeros.
+def substitute_alpha(stack, ctx: ModulusContext) -> list:
+    """Replace every E by lambda K + mu/K, lambda = 1 - a(r)/sqrt(r) and
+    mu = pi/(4 sqrt(r)), in each entry (P, den) of ``stack`` at u = k_r^2, with
+    a(r) = ``alpha_from_context(ctx)``: one Laurent polynomial in K per entry,
+    {K-exponent: BigReal} without zeros, at the context's precision.
 
     One table of u^k (denominators included) and one of s[j][t] =
     C(j,t) lambda^(j-t) mu^t serve the stack: term (i, j) adds c(u) s[j][t],
@@ -135,9 +136,8 @@ def substitute_alpha(stack, ctx: ModulusContext, a: AlphaValue) -> list:
     of the stack) when |den(u)| does not exceed its rounding bound
     sum_k |c_k| u^k 2^(-wprec), wprec the working precision.
     """
-    if ctx.r != a.r:
-        raise DomainError(f"context is at r={ctx.r} but alpha at r={a.r}")
-    prec = min(ctx.prec, a.prec)
+    a = alpha_from_context(ctx)
+    prec = ctx.prec
     wprec = prec + 2 * GUARD
     with mp.workprec(wprec):
         uv = ctx.k.value ** 2
@@ -190,8 +190,8 @@ class CoefficientSolution:
     ``x`` is the series argument 4 k_r^2 k'_r^2 of the context the solve
     ran on, rounded to ``prec``. ``residual`` is the largest leftover
     K-power coefficient after the solve (the quantities that the
-    construction forces to vanish); ``rank`` is the size of the solved
-    square system and ``rcond`` its reciprocal 1-norm condition number.
+    construction forces to vanish); ``rcond`` is the reciprocal 1-norm
+    condition number of the solved square system of size 2nu.
     """
 
     r: Rational
@@ -199,7 +199,6 @@ class CoefficientSolution:
     a_coeffs: tuple
     g: BigReal
     residual: BigReal
-    rank: int
     rcond: BigReal
 
 
@@ -235,8 +234,7 @@ def solve_coefficients(nu: int, r, prec: int) -> CoefficientSolution:
     while True:
         wprec = prec + 8 * GUARD + extra
         ctx = singular_modulus(rf, wprec)
-        a = alpha_from_context(ctx)
-        laurents = substitute_alpha(derivative_stack(nu), ctx, a)
+        laurents = substitute_alpha(derivative_stack(nu), ctx)
         exps = sorted({e for L in laurents for e in L if e != 0}, reverse=True)
         with mp.workprec(wprec):
             # coefficient of K^e in each stack entry, 0 where it is absent
@@ -284,6 +282,5 @@ def solve_coefficients(nu: int, r, prec: int) -> CoefficientSolution:
         a_coeffs=tuple(round_to(v, prec) for v in a_coeffs),
         g=round_to(g, prec),
         residual=round_to(residual, prec),
-        rank=len(exps),
         rcond=round_to(rcond, prec),
     )

@@ -30,6 +30,19 @@ def clear_caches():
                 obj.cache_clear()
 
 
+def base_modulus_alpha_4r(a_r):
+    """The circulating a(4r) variant with k_r in place of k_4r,
+    (1 + k_r)^2 a(r) - 2 sqrt(r) k_r, at prec + 16 bits and rounded to the
+    precision of a(r). At r = 1 it misses the true a(4) by about 0.30."""
+    prec = a_r.value.prec
+    wprec = prec + 16
+    k = elliptic.singular_modulus(a_r.r, wprec).k.value
+    with mp.workprec(wprec):
+        sr = bigreal.sqrt_mpf(bigreal.mpf_of(a_r.r, wprec))
+        v = (1 + k) ** 2 * a_r.value.value - 2 * sr * k
+    return bigreal.round_to(v, prec)
+
+
 def tol_bits(prec, slack):
     """2^(-prec+slack) as an mpf comparison bound."""
     return mpmath.mpf(2) ** (-(prec - slack))

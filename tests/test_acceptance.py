@@ -22,15 +22,14 @@ import pytest
 from mpmath import mp
 
 import piforge as pf
-from piforge.alpha import (alpha_4r_with_base_modulus, t5_closed_form, t5_eta_form,
-                           t5_rr_form)
+from piforge.alpha import t5_closed_form, t5_eta_form, t5_rr_form
 from piforge.catalog import published_by_label
 from piforge.identities import (eta_cube_residual, lambert_alpha_identity,
                                 lambert_alpha_identity_plain_nome,
                                 multiplier_route_residual, quintic_residual,
                                 scaled_lambert_residual, t5_residual)
 
-from conftest import ke_at_u
+from conftest import base_modulus_alpha_4r, ke_at_u
 
 P = 512
 D140 = mpmath.mpf(10) ** -140
@@ -100,7 +99,7 @@ def test_criterion_3_reduction_routes_130_digits():
     worst = mpmath.mpf(0)
     for name, (via, direct) in routes.items():
         worst = max(worst, abs((via.value - direct.value).value))
-    sentinel = abs((alpha_4r_with_base_modulus(pf.alpha_direct(1, P))
+    sentinel = abs((base_modulus_alpha_4r(pf.alpha_direct(1, P))
                     - pf.alpha_direct(4, P).value).value)
     ok = worst < D130 and sentinel >= mpmath.mpf("0.01")
     report("3 (reduction routes to 130 digits + wrong-form sentinel)", ok,

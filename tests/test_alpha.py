@@ -14,10 +14,10 @@ from piforge import (BigReal, DomainError, InsufficientPrecisionError,
                      t5_closed_form, t5_eta_form, t5_rr_form, t_sum,
                      triple_modulus_quartic_root)
 from piforge import alpha
-from piforge.alpha import AlphaValue, alpha_4r_with_base_modulus
+from piforge.alpha import AlphaValue
 from piforge.bigreal import pi_bits, round_to
 
-from conftest import deadline, tol_bits
+from conftest import base_modulus_alpha_4r, deadline, tol_bits
 
 P = 256
 
@@ -77,7 +77,7 @@ def test_alpha_8_route():
 
 def test_base_modulus_variant_is_wrong_by_a_lot():
     # regression sentinel: the k_r-form misses a(4) by ~0.30 at r=1
-    wrong = alpha_4r_with_base_modulus(alpha_direct(1, P))
+    wrong = base_modulus_alpha_4r(alpha_direct(1, P))
     direct = alpha_direct(4, P)
     dev = abs((wrong - direct.value).value)
     assert dev > mpmath.mpf("0.01")
@@ -226,7 +226,7 @@ def test_t_sum_and_multiplier_need_p_at_least_2():
 def test_alpha_value_outside_its_window_is_rejected(value):
     # for r >= 1, 0 < a(r) < sqrt(r); at r = 4 the window is (0, 2)
     with pytest.raises(VerificationError, match="outside the window"):
-        AlphaValue(r=Fraction(4), value=BigReal.of(value, P), route="direct", prec=P)
+        AlphaValue(r=Fraction(4), value=BigReal.of(value, P), route="direct")
 
 
 def test_weight2_identity_at_r3():

@@ -8,6 +8,8 @@ import pytest
 
 from piforge.cli import main
 
+from conftest import base_modulus_alpha_4r
+
 PREC = ["--prec", "192"]
 
 
@@ -173,11 +175,10 @@ def test_stack_pole_exit_code(capsys):
 def test_alpha_route_disagreeing_with_direct_fails(capsys, monkeypatch):
     # the base-modulus sentinel misses a(4) by about 0.30
     from piforge import cli
-    from piforge.alpha import AlphaValue, alpha_4r_with_base_modulus
+    from piforge.alpha import AlphaValue
 
     def sentinel(a_r):
-        return AlphaValue(r=4 * a_r.r, value=alpha_4r_with_base_modulus(a_r),
-                          route="4r", prec=a_r.prec)
+        return AlphaValue(r=4 * a_r.r, value=base_modulus_alpha_4r(a_r), route="4r")
 
     monkeypatch.setitem(cli._ROUTES, "4r", (4, sentinel))
     code, out, _ = run(capsys, PREC + ["alpha", "4", "--route", "4r"])

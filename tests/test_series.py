@@ -28,6 +28,12 @@ from piforge.elliptic import GUARD
 
 from conftest import tol_bits
 
+# the derivation tool, whose Miller power recurrence is the store's reference
+_TOOL = importlib.util.spec_from_file_location(
+    "derive_recurrences", Path(__file__).resolve().parents[1] / "tools" / "derive_recurrences.py")
+derive_recurrences = importlib.util.module_from_spec(_TOOL)
+_TOOL.loader.exec_module(derive_recurrences)
+
 P = 256
 
 
@@ -117,21 +123,10 @@ def test_power_recurrence_matches_convolution_chain(convolution_tables, order):
         assert series._scaled(p, 420)[:421] == convolution_tables[p], p
 
 
-def _miller_reference(p, n):
-    """The former store fill: N_p(0..n) from N_1(m) = C(2m,m)^3 alone by
-    J.C.P. Miller's power recurrence, m N_p(m) = sum_k ((p+1)k - m) N_1(k) N_p(m-k)."""
-    base = [comb(2 * m, m) ** 3 for m in range(n + 1)]
-    table = [1]
-    for m in range(1, n + 1):
-        weighted = map(mul, range(p + 1 - m, p * m + 1, p + 1), base[1:m + 1])
-        table.append(sum(map(mul, weighted, table[m - 1::-1])) // m)
-    return table
-
-
 @pytest.mark.parametrize("p", [2, 4, 6])
 def test_recurrence_fill_matches_miller_reference(p):
     series._store.cache_clear()
-    assert series._scaled(p, 700)[:701] == _miller_reference(p, 700)
+    assert series._scaled(p, 700)[:701] == derive_recurrences.miller(p, 700)
 
 
 def test_fill_in_steps_matches_miller_reference():
@@ -139,7 +134,7 @@ def test_fill_in_steps_matches_miller_reference():
     for p in (2, 4, 6):
         for n in (0, p - 1, p, p + 1, 2 * p + 3, 40, 41, 150):
             series._scaled(p, n)
-        assert series._store(p)[:151] == _miller_reference(p, 150), p
+        assert series._store(p)[:151] == derive_recurrences.miller(p, 150), p
 
 
 @pytest.mark.parametrize("p", [2, 4, 6])
@@ -165,12 +160,8 @@ def test_fill_rejects_a_remainder(monkeypatch):
 
 
 def test_derivation_tool_reprints_the_committed_tables():
-    path = Path(__file__).resolve().parents[1] / "tools" / "derive_recurrences.py"
-    loader = importlib.util.spec_from_file_location("derive_recurrences", path)
-    tool = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(tool)
     for p in (2, 4, 6):
-        assert tool.guess(p) == series._RECURRENCES[p], p
+        assert derive_recurrences.guess(p) == series._RECURRENCES[p], p
 
 
 def test_evaluate_bit_identical_to_fraction_path():
@@ -410,7 +401,7 @@ def test_verify_solved_series_nu2_r2():
     spec = build_series(2, 2, 512)
     rep = verify(spec, 140, 512)
     assert rep.passed
-    assert rep.matched_digits > rep.terms * rep.dpt - 10
+    assert rep.matched_digits > rep.predicted_digits - 10
 
 
 def test_verify_against_independent_pi():
@@ -702,10 +693,12 @@ def test_json_is_deterministic_and_versioned():
     assert len(doc["bracket_decimals"]) == 7
 
 
-def test_from_json_rejects_unknown_schema():
+@pytest.mark.parametrize("field", ["schema", "n_start", "x_decimal"])
+def test_from_json_rejects_unknown_schema(field):
+    # an unknown schema, and a spec that evaluate cannot sum, fail as they are read
     spec = build_series(2, 2, P)
     doc = json.loads(to_json(spec))
-    doc["schema"] = "piforge/0"
+    doc[field] = {"schema": "piforge/0", "n_start": -1, "x_decimal": "0"}[field]
     with pytest.raises(DomainError):
         from_json(json.dumps(doc))
 
@@ -722,3 +715,7 @@ def test_spec_invariants_enforced():
         with pytest.raises(DomainError, match=r"\{1, 2, 3\}"):
             SeriesSpec(nu=nu, r=spec.r, x=spec.x, bracket=(spec.bracket[0],) * (2 * nu + 1),
                        g=spec.g, prec=P)
+    with pytest.raises(DomainError, match="n_start"):
+        dataclasses.replace(spec, n_start=-1)
+    with pytest.raises(DomainError, match="x = 0"):
+        dataclasses.replace(spec, x=BigReal.of(0, P))

@@ -21,12 +21,10 @@ per-operation digests of the two sides are identical, and for each side
 per module can be read off the file), one tier-1 test run
 (``python -m pytest -q -rf`` in its checkout: wall time, passed/failed counts and
 the sorted ids of the failed tests, ``failed_ids``)
-and the sha256 of the stdout of ``python3 -m piforge.cli --prec N --format
-json verify`` for N in 512, 2048 and 8192, run in its checkout, and
-``cli_sha256``, the sha256 of the stdout, stderr and exit code of each command
-in ``CLI_COMMANDS``, in text and in JSON, and ``stages``, per key the median
-over ``STAGE_RUNS`` fresh interpreters of that interpreter's median of 7
-timings in ms: of each max-term ``evaluate`` of ``STAGE_SUMS`` after one
+and ``cli_sha256``, the sha256 of the stdout, stderr and exit code of each
+command in ``CLI_COMMANDS``, in text and in JSON, run in its checkout, and
+``stages``, per key the median over ``STAGE_RUNS`` fresh interpreters of that
+interpreter's median of 7 timings in ms: of each max-term ``evaluate`` of ``STAGE_SUMS`` after one
 untimed call, of cold fills of the coefficient store to n = 420 for p = 2, 4
 and 6 and to n = 700 for p = 6 (``fill p=... n=...``, each from an emptied
 store), of
@@ -38,9 +36,9 @@ after one untimed call warms the context, pi and the stack, and of
 nome(1/5, 8208)^2, each after one untimed call. The stage interpreters
 alternate between the sides, so a change in the machine's state reaches both.
 All of these are taken before the benchmark runs. The top-level
-``verify_json_identical`` says whether the two sides' verify outputs hash the
-same at every N, ``cli_outputs_identical`` whether every CLI command's outputs
-do, and ``tier1_failed_identical``
+``verify_json_identical`` says whether the two sides' JSON ``verify`` outputs
+hash the same at 512, 2048 and 8192 bits, ``cli_outputs_identical`` whether
+every CLI command's outputs do, and ``tier1_failed_identical``
 whether the same tests failed on both sides.
 """
 
@@ -60,11 +58,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("cli_cold", "battery", "evaluate_warm")
-VERIFY_PRECS = (512, 2048, 8192)
 # piforge arguments whose outputs are hashed, each with --format text and json:
 # the cli_cold anchors, solved series, default term counts at large r, a
 # context for r > 1 and one for r < 1, the three alpha routes, three error
-# paths and the text verify battery at two precisions
+# paths and the verify battery at three precisions
 CLI_COMMANDS = (
     "--prec 512 series --nu 3 --r 7",
     "--prec 4096 series --nu 3 --r 7",
@@ -83,6 +80,7 @@ CLI_COMMANDS = (
     "--prec 512 series --nu 2 --r 1/2",
     "--prec 512 verify",
     "--prec 2048 verify",
+    "--prec 8192 verify",
 )
 
 # max-term evaluate calls timed by ``stages``: (nu, r, the precision the spec
@@ -167,15 +165,6 @@ def tier1(tree: Path) -> dict:
             "summary": summary_line}
 
 
-def verify_digests(tree: Path) -> dict:
-    """sha256 of ``piforge --prec N --format json verify``'s stdout, keyed by N."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    return {str(prec): hashlib.sha256(subprocess.run(
-        [sys.executable, "-m", "piforge.cli", "--prec", str(prec), "--format", "json", "verify"],
-        cwd=tree, env=env, check=True, capture_output=True).stdout).hexdigest()
-        for prec in VERIFY_PRECS}
-
-
 def cli_digests(tree: Path) -> dict:
     """sha256 of the stdout, stderr and exit code of each of ``CLI_COMMANDS``,
     keyed by format and arguments."""
@@ -256,14 +245,15 @@ def main(argv=None) -> int:
             lines = module_lines(tree)
             doc["sides"][side].update({"src.lines": sum(lines.values()),
                                        "src.lines_by_module": lines, "tier1": tier1(tree),
-                                       "verify_sha256": verify_digests(tree),
                                        "cli_sha256": cli_digests(tree)})
             print(f"{side} tier-1: {doc['sides'][side]['tier1']['summary']}",
                   file=sys.stderr, flush=True)
         for side, stages in stage_timings(trees).items():
             doc["sides"][side]["stages"] = stages
         parent, change = doc["sides"]["parent"], doc["sides"]["change"]
-        doc["verify_json_identical"] = parent["verify_sha256"] == change["verify_sha256"]
+        doc["verify_json_identical"] = all(
+            parent["cli_sha256"][key] == change["cli_sha256"][key]
+            for key in (f"json: --prec {n} verify" for n in (512, 2048, 8192)))
         doc["cli_outputs_identical"] = parent["cli_sha256"] == change["cli_sha256"]
         doc["tier1_failed_identical"] = (parent["tier1"]["failed_ids"]
                                          == change["tier1"]["failed_ids"])

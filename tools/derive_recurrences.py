@@ -1,6 +1,7 @@
 """Derive the integer P-recurrences that fill ``piforge.series``'s coefficient store.
 
-Run from the repository root:
+Run from the repository root (it needs sympy, which the ``[test]`` extra
+installs):
 
     python3 tools/derive_recurrences.py [p ...]
 
@@ -14,10 +15,11 @@ recurrence for the powers of a power series (Knuth, *TAOCP* vol. 2, sec. 4.7)
 applied to C(2n,n)^3, not from the store the tables fill.
 
 The guess is linear algebra modulo 62-bit primes (Kauers, *The Guessing
-Handbook*, 2009): one equation per m in the unknown coefficients of the P_i,
-more equations than unknowns. Its null space must have dimension 1 at degree
-2p + 1 and 0 at degree 2p, so the recurrence of order p is unique up to scale
-and of least degree. The vector is scaled so that the m^(2p+1) coefficient
+Handbook*, 2009), taken downwards from 2^62 by ``sympy.prevprime``: one
+equation per m in the unknown coefficients of the P_i, more equations than
+unknowns. Its null space must have dimension 1 at degree 2p + 1 and 0 at
+degree 2p, so the recurrence of order p is unique up to scale and of least
+degree. The vector is scaled so that the m^(2p+1) coefficient
 of P_p is 1, then lifted by the Chinese remainder theorem and rational
 reconstruction, one more prime at a time, until two successive lifts agree.
 Denominators and the content are cleared, and the integer recurrence is
@@ -32,6 +34,8 @@ from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 from operator import mul
 
+from sympy import prevprime
+
 
 def miller(p: int, n: int) -> list[int]:
     """N_p(0..n) from N_1(m) = C(2m,m)^3 by m N_p(m) = sum_k ((p+1)k - m) N_1(k) N_p(m-k)."""
@@ -41,38 +45,6 @@ def miller(p: int, n: int) -> list[int]:
         weighted = map(mul, range(p + 1 - m, p * m + 1, p + 1), base[1:m + 1])
         table.append(sum(map(mul, weighted, table[m - 1::-1])) // m)
     return table
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first 12 prime bases, deterministic below 3.3e24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n in bases:
-        return True
-    if n < 2 or any(n % b == 0 for b in bases):
-        return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes():
-    """The primes below 2^62, descending."""
-    n = (1 << 62) - 1
-    while True:
-        if _is_prime(n):
-            yield n
-        n -= 2
 
 
 def _null_space(rows: list[list[int]], q: int) -> list[list[int]]:
@@ -131,8 +103,7 @@ def guess(p: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     order, degree = p, 2 * p + 1
     unknowns = (order + 1) * (degree + 1)
     values = miller(p, unknowns + 16 + order)
-    primes = _primes()
-    q = next(primes)
+    q = prevprime(1 << 62)
     if _null_space(_equations(values, order, degree - 1, q), q):
         raise ArithmeticError(f"p={p}: a recurrence of degree {degree - 1} exists")
     modulus, lifted, previous = 1, [0] * unknowns, None
@@ -146,7 +117,7 @@ def guess(p: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         current = [_rational(x, modulus) for x in lifted]
         if None not in current and current == previous:
             break
-        previous, q = current, next(primes)
+        previous, q = current, prevprime(q)
     scale = lcm(*(f.denominator for f in current))
     ints = [int(f * scale) for f in current]
     content = gcd(*ints)
