@@ -27,24 +27,31 @@ from fractions import Fraction
 import mpmath
 from mpmath import libmp, mp
 
+from .errors import DomainError
+
 MIN_PREC = 64
 
 
 def as_fraction(r) -> Fraction:
-    """Coerce ``r`` (int, Fraction, or 'p/q' string) to an exact Fraction."""
-    if isinstance(r, Fraction):
-        return r
-    if isinstance(r, int):
-        return Fraction(r)
+    """The rational r > 0 from an int, Fraction or 'p/q' string: the package's one
+    check of r. Bad text or r <= 0 raise DomainError, a float raises TypeError."""
     if isinstance(r, str):
-        return Fraction(r.strip())
-    raise TypeError(f"expected a rational (int, Fraction, or 'p/q' string), got {r!r}")
+        try:
+            r = Fraction(r.strip())
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"cannot parse rational {r!r}") from None
+    elif not isinstance(r, (int, Fraction)):
+        raise TypeError(f"expected a rational (int, Fraction, or 'p/q' string), got {r!r}")
+    if r <= 0:
+        raise DomainError(f"r must be positive, got {r}")
+    return Fraction(r)
 
 
 def _check_prec(prec: int) -> int:
+    """``prec`` as an int, the package's one precision floor: DomainError below 64 bits."""
     prec = int(prec)
     if prec < MIN_PREC:
-        raise ValueError(f"precision must be >= {MIN_PREC} bits, got {prec}")
+        raise DomainError(f"precision must be >= {MIN_PREC} bits, got {prec}")
     return prec
 
 

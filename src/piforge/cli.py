@@ -7,7 +7,9 @@ variable PIFORGE_PREC_BITS, which must then be a whole number) and
 deterministic: keys sorted, decimals rendered at a precision-derived digit
 count, no timestamps, so identical invocations are byte-identical.
 
-Exit codes: 0 success, 1 verification failure, 2 domain error (also a
+Each ``cmd_*`` returns (JSON document, text lines, passed); ``main`` prints
+one of the two. Exit codes: 0 success, 1 verification failure, 2 domain error
+(a malformed or non-positive r, prec < 64, an unwritable ``--emit`` path, a
 singular coefficient system, DegenerateSystemError, and a quartic root whose
 Newton iteration does not settle, RootSelectionError), 3 insufficient
 precision. Text output always shows residual/threshold pairs so a failure is
@@ -27,10 +29,9 @@ from mpmath import mp
 
 from . import catalog, series
 from .alpha import ROUTE_DIRECT, alpha_25r, alpha_4r, alpha_9r, alpha_direct
-from .bigreal import BigReal, as_fraction, decimal_digits, mpf_of
+from .bigreal import BigReal, _check_prec, as_fraction, decimal_digits, mpf_of
 from .elliptic import GUARD, singular_modulus
-from .errors import (DomainError, InsufficientPrecisionError, PiforgeError,
-                     VerificationError)
+from .errors import DomainError, InsufficientPrecisionError, PiforgeError, VerificationError
 from .identities import identity_battery
 
 DEFAULT_PREC = 512
@@ -64,26 +65,9 @@ def _fmt(x, prec: int) -> str:
         return mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=False)
 
 
-def _emit(doc: dict, args, text_lines: list[str]) -> None:
-    if args.format == "json":
-        doc["schema"] = series.SCHEMA
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _parse_rational(text: str) -> Fraction:
-    try:
-        r = as_fraction(text)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise DomainError(f"cannot parse rational {text!r}") from exc
-    return r
-
-
-def cmd_modulus(args) -> int:
+def cmd_modulus(args):
     prec = args.prec
-    r = _parse_rational(args.r)
+    r = as_fraction(args.r)
     ctx = singular_modulus(r, prec)
     resid = ctx.defining_residual()
     threshold = BigReal.of(Fraction(1, 2 ** (prec - 16)), prec)
@@ -108,16 +92,16 @@ def cmd_modulus(args) -> int:
         f"q        = {doc['nome']}",
         f"|K(k')/K(k) - sqrt(r)| = {doc['defining_residual']} (threshold {doc['threshold']})",
     ]
-    _emit(doc, args, lines)
-    return EXIT_OK
+    return doc, lines, True
 
 
-def cmd_alpha(args) -> int:
+def cmd_alpha(args):
     prec = args.prec
-    r = _parse_rational(args.r)
+    r = as_fraction(args.r)
     ctx = singular_modulus(r, prec)
     value = direct = alpha_direct(r, prec)
     residual = None
+    passed = True
     if args.route != ROUTE_DIRECT:
         divisor, reduce_fn = _ROUTES[args.route]
         value = reduce_fn(alpha_direct(r / divisor, prec))
@@ -145,16 +129,15 @@ def cmd_alpha(args) -> int:
     ]
     if residual is not None:
         lines.append(f"|route - direct| = {doc['route_residual']} (threshold {doc['threshold']})")
-        if residual > mpf_of(threshold, prec):
-            _emit(doc, args, lines + ["FAIL: route disagrees with direct evaluation"])
-            return EXIT_VERIFY_FAIL
-    _emit(doc, args, lines)
-    return EXIT_OK
+        passed = residual <= mpf_of(threshold, prec)
+        if not passed:
+            lines.append("FAIL: route disagrees with direct evaluation")
+    return doc, lines, passed
 
 
-def cmd_series(args) -> int:
+def cmd_series(args):
     prec = args.prec
-    r = _parse_rational(args.r)
+    r = as_fraction(args.r)
     spec = series.build_series(args.nu, r, prec)
     terms = args.terms
     if terms is None:
@@ -196,8 +179,12 @@ def cmd_series(args) -> int:
             fh.write(series.to_json(spec))
         lines.append(f"series spec written to {args.emit}")
         doc["emitted"] = args.emit
-    _emit(doc, args, lines)
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
+    return doc, lines, report.passed
+
+
+def _gated(name: str, resid: BigReal, digits: int):
+    return (name, resid.value < mpmath.mpf(10) ** -digits,
+            f"residual {_fmt(resid, 64)}", f"1e-{digits}")
 
 
 def _verify_items(prec: int):
@@ -214,21 +201,15 @@ def _verify_items(prec: int):
                       rep.passed,
                       f"{rep.matched_digits:.2f} digits matched",
                       f"needs {rep.threshold_digits:.2f}"))
-    y_gate_digits = min(40, capacity - 16)
-    y_gate = mpmath.mpf(10) ** (-y_gate_digits)
-    for s, resid in catalog.y_table_residuals(prec).items():
-        items.append((f"Y({s})", resid.value < y_gate,
-                      f"residual {_fmt(resid, 64)}", f"1e-{y_gate_digits}"))
-    r68_gate_digits = min(30, capacity - 16)
-    r68 = catalog.r68_identity_residual(prec)
-    items.append(("r=68 factorization identity",
-                  r68.value < mpmath.mpf(10) ** (-r68_gate_digits),
-                  f"residual {_fmt(r68, 64)}", f"1e-{r68_gate_digits}"))
+    items += [_gated(f"Y({s})", resid, min(40, capacity - 16))
+              for s, resid in catalog.y_table_residuals(prec).items()]
+    items.append(_gated("r=68 factorization identity", catalog.r68_identity_residual(prec),
+                        min(30, capacity - 16)))
     items.extend(identity_battery(prec))
     return items
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     prec = args.prec
     items = _verify_items(prec)
     all_ok = all(ok for _, ok, _, _ in items)
@@ -242,8 +223,7 @@ def cmd_verify(args) -> int:
     lines = [f"{'PASS' if ok else 'FAIL'}  {n}  [{res}; threshold {thr}]"
              for n, ok, res, thr in items]
     lines.append(f"overall: {'PASS' if all_ok else 'FAIL'}")
-    _emit(doc, args, lines)
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
+    return doc, lines, all_ok
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,9 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.prec < 64:
-            raise DomainError(f"precision must be >= 64 bits, got {args.prec}")
-        return args.fn(args)
+        _check_prec(args.prec)
+        doc, lines, passed = args.fn(args)
     except InsufficientPrecisionError as exc:
         print(f"error: insufficient precision: {exc}", file=sys.stderr)
         return EXIT_PRECISION
@@ -295,6 +274,11 @@ def main(argv=None) -> int:
     except PiforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    if args.format == "json":
+        doc["schema"] = series.SCHEMA
+        lines = [json.dumps(doc, sort_keys=True)]
+    print("\n".join(lines))
+    return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
 if __name__ == "__main__":

@@ -106,8 +106,6 @@ def ell_e(k, prec: int) -> BigReal:
 def nome(r, prec: int) -> BigReal:
     """The nome q = exp(-pi*sqrt(r)) for rational r > 0, accurate to 2^(-prec+4)."""
     rf = as_fraction(r)
-    if rf <= 0:
-        raise DomainError(f"r must be positive, got {rf}")
     wprec = prec + 2 * GUARD
     with mp.workprec(wprec):
         sr = sqrt_mpf(mpf_of(rf, wprec))
@@ -260,8 +258,6 @@ def singular_modulus(r, prec: int) -> ModulusContext:
     silent zero. No error is stored.
     """
     rf = as_fraction(r)
-    if rf <= 0:
-        raise DomainError(f"r must be positive, got {rf}")
     values = _context(rf, -(-prec // 64) * 64)
     with mp.workprec(prec + 4 * GUARD):
         kv = values[1 if rf >= 1 else 2]  # k_s: k_r for r >= 1, k'_r below

@@ -133,8 +133,6 @@ def y_value(r_over_5, prec: int) -> BigReal:
     q = exp(-pi*sqrt(s)).
     """
     s = as_fraction(r_over_5)
-    if s <= 0:
-        raise DomainError(f"argument must be positive, got {s}")
     wprec = prec + 2 * GUARD
     rr = rr_eval(nome(s, wprec) ** 2, wprec)
     with mp.workprec(wprec):

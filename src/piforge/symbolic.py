@@ -221,8 +221,6 @@ def solve_coefficients(nu: int, r, prec: int) -> CoefficientSolution:
     if nu not in (1, 2, 3):
         raise DomainError(f"nu must be in {{1, 2, 3}}, got {nu}")
     rf = as_fraction(r)
-    if rf <= 0:
-        raise DomainError(f"r must be positive, got {rf}")
     if rf == 1:
         raise NonConvergentSeriesError("r = 1 sits on the branch point z = 1 (dz/dk = 0); "
                                        "no convergent series exists there")

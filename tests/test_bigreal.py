@@ -17,6 +17,10 @@ from conftest import clear_caches, tol_bits
 def test_minimum_precision_enforced():
     with pytest.raises(ValueError):
         BigReal.of(1, 32)
+    # the one floor, the CLI's included: a DomainError, caught as a ValueError
+    with pytest.raises(ValueError, match="precision must be >= 64 bits, got 32") as exc:
+        bigreal._check_prec(32)
+    assert isinstance(exc.value, pf.DomainError)
 
 
 def test_arithmetic_uses_max_precision():
@@ -165,6 +169,13 @@ def test_as_fraction_rejects_floats():
     assert as_fraction("13/2") == Fraction(13, 2) and as_fraction(7) == Fraction(7)
     with pytest.raises(TypeError, match="expected a rational"):
         as_fraction(0.5)
+    # the package's one check of r: bad text and r <= 0 are DomainErrors
+    for r, message in (("1/0", "cannot parse rational '1/0'"),
+                       ("abc", "cannot parse rational 'abc'"),
+                       (0, "r must be positive, got 0"), (-3, "r must be positive, got -3"),
+                       ("-7/2", "r must be positive, got -7/2")):
+        with pytest.raises(pf.DomainError, match=message):
+            as_fraction(r)
 
 
 def test_decimal_digits_monotone():

@@ -342,8 +342,9 @@ def test_domain_rejects_nonpositive_r():
     # no error is stored: each call raises again
     for _ in range(2):
         for r in (0, Fraction(-1, 3)):
-            with pytest.raises(DomainError):
-                singular_modulus(r, P)
+            for fn in (singular_modulus, nome):
+                with pytest.raises(DomainError, match="r must be positive"):
+                    fn(r, P)
 
 
 # ---------------------------------------------------------------- context store

@@ -149,7 +149,7 @@ def test_r68_printed_orientation_fails():
 
 
 def test_y_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="r must be positive, got -1/5"):
         y_value(Fraction(-1, 5), P)
     with pytest.raises(DomainError, match="no closed form catalogued for Y\\(7/5\\)"):
         y_closed_form(Fraction(7, 5), P)

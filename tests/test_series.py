@@ -352,8 +352,9 @@ def test_build_series_rejects_r1(prec):
 
 @pytest.mark.parametrize("r", [0, -3, "-7/2"])
 def test_build_series_rejects_nonpositive_r(r):
-    with pytest.raises(DomainError, match="must be positive"):
-        build_series(1, r, P)
+    for fn in (build_series, solve_coefficients):
+        with pytest.raises(DomainError, match="r must be positive"):
+            fn(1, r, P)
 
 
 @pytest.mark.parametrize("prec", [256, 1024, 4096])
