@@ -175,8 +175,11 @@ def cmd_series(args):
         "PASS" if report.passed else "FAIL",
     ]
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(series.to_json(spec))
+        try:
+            with open(args.emit, "w", encoding="utf-8") as fh:
+                fh.write(series.to_json(spec))
+        except OSError as exc:
+            raise DomainError(f"cannot write {args.emit}: {exc.strerror}") from None
         lines.append(f"series spec written to {args.emit}")
         doc["emitted"] = args.emit
     return doc, lines, report.passed

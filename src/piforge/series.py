@@ -52,7 +52,7 @@ from mpmath import mp
 from .bigreal import BigReal, as_fraction, decimal_digits, mpf_of, pi_bits, round_to
 from .elliptic import GUARD
 from .errors import (DomainError, InsufficientPrecisionError, NonConvergentSeriesError,
-                     VerificationError)
+                     PiforgeError, VerificationError)
 from .symbolic import solve_coefficients
 
 SCHEMA = "piforge/1"
@@ -209,6 +209,8 @@ class SeriesSpec:
             raise DomainError("series argument x = 0 has no finite digits per term")
         if self.n_start < 0:
             raise DomainError(f"n_start must be >= 0, got {self.n_start}")
+        if self.g.value == 0:
+            raise DomainError("series constant g = 0 gives the target 0, which has no digits")
 
     def dpt(self) -> float:
         """Decimal digits gained per term: -log10 |x|.
@@ -403,18 +405,38 @@ def to_json(spec: SeriesSpec) -> str:
 
 
 def from_json(text: str) -> SeriesSpec:
-    doc = json.loads(text)
+    """The SeriesSpec of a schema piforge/1 document. Text that is not a JSON
+    object, a missing field and a field its conversion rejects raise DomainError
+    naming it; PiforgeErrors, such as SeriesSpec's own checks, pass unchanged."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        doc = None
+    if not isinstance(doc, dict):
+        raise DomainError("series spec is not a JSON object")
     if doc.get("schema") != SCHEMA:
         raise DomainError(f"unsupported schema {doc.get('schema')!r}")
-    prec = int(doc["prec_bits"])
+
+    def field(key, convert, default=None):
+        if key not in doc and default is None:
+            raise DomainError(f"series spec has no field {key!r}")
+        try:
+            return convert(doc.get(key, default))
+        except PiforgeError:
+            raise
+        except (TypeError, ValueError, ArithmeticError) as exc:     # int(Infinity), mpf("1/0")
+            raise DomainError(f"series spec field {key!r}: {exc}") from None
+
+    prec = field("prec_bits", int)
+    real = functools.partial(BigReal.of, prec=prec)
     return SeriesSpec(
-        nu=int(doc["nu"]),
-        r=as_fraction(doc["r"]),
-        x=BigReal.of(doc["x_decimal"], prec),
-        bracket=tuple(BigReal.of(s, prec) for s in doc["bracket_decimals"]),
-        g=BigReal.of(doc["g_decimal"], prec),
+        nu=field("nu", int),
+        r=field("r", as_fraction),
+        x=field("x_decimal", real),
+        bracket=field("bracket_decimals", lambda ss: tuple(map(real, ss))),
+        g=field("g_decimal", real),
         prec=prec,
-        provenance=str(doc.get("provenance", "solved")),
-        n_start=int(doc.get("n_start", 0)),
-        label=str(doc.get("label", "")),
+        provenance=field("provenance", str, "solved"),
+        n_start=field("n_start", int, 0),
+        label=field("label", str, ""),
     )

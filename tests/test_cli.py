@@ -1,7 +1,10 @@
 """CLI surface: subcommands, exit codes, JSON determinism, env override."""
 
+import hashlib
 import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -11,12 +14,30 @@ from piforge.cli import main
 from conftest import base_modulus_alpha_4r
 
 PREC = ["--prec", "192"]
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
 
 
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.mark.parametrize("order", ["committed", "shuffled"])
+def test_outputs_match_the_golden_hashes(capsys, order):
+    # every digit of every output is pinned: the sha256 of stdout, stderr and
+    # exit code of each command of tests/golden/cli.json, in text and in JSON,
+    # as tools/bench_pairs.py hashes them; shuffled, no result may depend on
+    # what the caches hold
+    runs = [(fmt, command) for fmt in ("text", "json") for command in GOLDEN["commands"]]
+    if order == "shuffled":
+        random.Random(7919).shuffle(runs)
+    got = {}
+    for fmt, command in runs:
+        code, out, err = run(capsys, ["--format", fmt, *command.split()])
+        got[f"{fmt}: {command}"] = hashlib.sha256(
+            b"\n--\n".join((out.encode(), err.encode(), str(code).encode()))).hexdigest()
+    assert got == GOLDEN["cli_sha256"]
 
 
 def test_modulus_value_line(capsys):
@@ -70,6 +91,16 @@ def test_series_emit_round_trip(tmp_path, capsys):
     assert code == 0
     spec = from_json(path.read_text())
     assert spec.nu == 2 and str(spec.r) == "3"
+
+
+def test_series_emit_to_an_unwritable_path(tmp_path, capsys):
+    # the series is built and verified, then the write fails: one error line, exit 2
+    path = tmp_path / "missing" / "spec.json"
+    code, out, err = run(capsys, PREC + ["series", "--nu", "2", "--r", "3",
+                                       "--terms", "24", "--emit", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
 def test_series_verify_passes_where_the_tail_bound_holds(capsys):

@@ -1,5 +1,8 @@
-"""Each demo script runs to completion in a fresh interpreter and prints something."""
+"""Each demo script runs to completion in a fresh interpreter and prints what
+it printed when its sha256 was recorded in tests/golden/cli.json."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text())["demo_sha256"]
 
 
 def test_demos_exist():
@@ -21,4 +25,4 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == GOLDEN[demo.stem], proc.stdout

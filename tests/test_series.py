@@ -1,6 +1,7 @@
 """Coefficients, brackets, series construction, evaluation, replay, JSON."""
 
 import dataclasses
+import functools
 import importlib.util
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from piforge import (BigReal, DomainError, InsufficientPrecisionError,
-                     NonConvergentSeriesError, SeriesSpec, VerificationError, bracket_from_a,
+                     NonConvergentSeriesError, PiforgeError, SeriesSpec, VerificationError, bracket_from_a,
                      build_series, cp, evaluate, from_json,
                      replay_published, series, singular_modulus,
                      solve_coefficients, stirling_first, to_json, verify)
@@ -694,14 +695,64 @@ def test_json_is_deterministic_and_versioned():
     assert len(doc["bracket_decimals"]) == 7
 
 
-@pytest.mark.parametrize("field", ["schema", "n_start", "x_decimal"])
+@functools.cache
+def _spec_text() -> str:
+    return to_json(build_series(2, 2, P))
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+# case -> (the to_json document made malformed, the DomainError's message)
+_MALFORMED = {
+    "schema": (lambda doc: {**doc, "schema": "piforge/0"}, "unsupported schema"),
+    "n_start": (lambda doc: {**doc, "n_start": -1}, "n_start must be >= 0"),
+    "x_decimal": (lambda doc: {**doc, "x_decimal": "0"}, "x = 0"),
+    "g_decimal": (lambda doc: {**doc, "g_decimal": "0"}, "g = 0"),
+    "missing": (lambda doc: _without(doc, "nu"), "has no field 'nu'"),
+    "nu": (lambda doc: {**doc, "nu": "2.5"}, "field 'nu'"),
+    "prec_bits": (lambda doc: {**doc, "prec_bits": 32}, "precision must be >= 64 bits"),
+    "list": (lambda doc: [doc], "not a JSON object"),
+    "text": (lambda doc: "not JSON", "not a JSON object"),
+    "float_r": (lambda doc: {**doc, "r": 0.5}, "field 'r'"),
+}
+
+
+@pytest.mark.parametrize("field", list(_MALFORMED))
 def test_from_json_rejects_unknown_schema(field):
-    # an unknown schema, and a spec that evaluate cannot sum, fail as they are read
-    spec = build_series(2, 2, P)
-    doc = json.loads(to_json(spec))
-    doc[field] = {"schema": "piforge/0", "n_start": -1, "x_decimal": "0"}[field]
-    with pytest.raises(DomainError):
-        from_json(json.dumps(doc))
+    # an unknown schema, a malformed document and a spec that verify cannot
+    # sum fail as they are read, each with a DomainError
+    malform, message = _MALFORMED[field]
+    bad = malform(json.loads(_spec_text()))
+    with pytest.raises(DomainError, match=message):
+        from_json(bad if isinstance(bad, str) else json.dumps(bad))
+
+
+# replacement values for a field of a valid document; none asks for more
+# than 4,096 bits or for a coefficient fill past n = 4,096
+_POOL = (None, True, 0, -1, 1, 3, 32, 63, 64, 4096, 2.5, float("inf"), float("nan"), "", "0",
+         "-3", "2.5", "7/2", "1/0", "abc", "nan", "inf", "1e-30", "piforge/1", [], ["1"], {})
+
+
+@settings(derandomize=True, max_examples=200, deadline=2000)
+@given(st.data())
+def test_from_json_of_a_mutated_document_is_typed(data):
+    # a dropped key, a replaced value or truncated text either reads or
+    # raises a PiforgeError, never an untyped error
+    text = _spec_text()
+    doc = json.loads(text)
+    kind = data.draw(st.sampled_from(("drop", "replace", "truncate")))
+    if kind == "truncate":
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    else:
+        key = data.draw(st.sampled_from(sorted(doc)))
+        doc = _without(doc, key) if kind == "drop" else {**doc, key: data.draw(st.sampled_from(_POOL))}
+        text = json.dumps(doc)
+    try:
+        from_json(text)
+    except PiforgeError:
+        pass
 
 
 def test_spec_invariants_enforced():
@@ -720,3 +771,5 @@ def test_spec_invariants_enforced():
         dataclasses.replace(spec, n_start=-1)
     with pytest.raises(DomainError, match="x = 0"):
         dataclasses.replace(spec, x=BigReal.of(0, P))
+    with pytest.raises(DomainError, match="g = 0"):
+        dataclasses.replace(spec, g=BigReal.of(0, P))

@@ -22,7 +22,7 @@ per module can be read off the file), one tier-1 test run
 (``python -m pytest -q -rf`` in its checkout: wall time, passed/failed counts and
 the sorted ids of the failed tests, ``failed_ids``)
 and ``cli_sha256``, the sha256 of the stdout, stderr and exit code of each
-command in ``CLI_COMMANDS``, in text and in JSON, run in its checkout, and
+command of ``tests/golden/cli.json``, in text and in JSON, run in its checkout, and
 ``stages``, per key the median over ``STAGE_RUNS`` fresh interpreters of that
 interpreter's median of 7 timings in ms: of each max-term ``evaluate`` of ``STAGE_SUMS`` after one
 untimed call, of cold fills of the coefficient store to n = 420 for p = 2, 4
@@ -39,7 +39,9 @@ All of these are taken before the benchmark runs. The top-level
 ``verify_json_identical`` says whether the two sides' JSON ``verify`` outputs
 hash the same at 512, 2048 and 8192 bits, ``cli_outputs_identical`` whether
 every CLI command's outputs do, and ``tier1_failed_identical``
-whether the same tests failed on both sides.
+whether the same tests failed on both sides. Both sides run the commands
+listed in the working tree's ``tests/golden/cli.json``, whose outputs the
+tier-1 tests pin to the same hashes.
 """
 
 from __future__ import annotations
@@ -62,26 +64,7 @@ WORKLOADS = ("cli_cold", "battery", "evaluate_warm")
 # the cli_cold anchors, solved series, default term counts at large r, a
 # context for r > 1 and one for r < 1, the three alpha routes, three error
 # paths and the verify battery at three precisions
-CLI_COMMANDS = (
-    "--prec 512 series --nu 3 --r 7",
-    "--prec 4096 series --nu 3 --r 7",
-    "--prec 2048 series --nu 1 --r 13/2 --terms 24",
-    "--prec 1024 series --nu 2 --r 29/2 --terms 24",
-    "--prec 512 series --nu 3 --r 9/2 --terms 24",
-    "--prec 1024 series --nu 2 --r 1000",
-    "--prec 1024 series --nu 1 --r 246",
-    "--prec 3072 modulus 14",
-    "--prec 512 modulus 1/3",
-    "--prec 1024 alpha 58 --route 4r",
-    "--prec 1024 alpha 117/2 --route 9r",
-    "--prec 1024 alpha 375/2 --route 25r",
-    "--prec 512 series --nu 2 --r 1 --terms 5",
-    "--prec 512 series --nu 1 --r 3",
-    "--prec 512 series --nu 2 --r 1/2",
-    "--prec 512 verify",
-    "--prec 2048 verify",
-    "--prec 8192 verify",
-)
+GOLDEN = ROOT / "tests" / "golden" / "cli.json"
 
 # max-term evaluate calls timed by ``stages``: (nu, r, the precision the spec
 # is built at, the precisions it is summed at, the cap on terms); each sums the
@@ -166,12 +149,13 @@ def tier1(tree: Path) -> dict:
 
 
 def cli_digests(tree: Path) -> dict:
-    """sha256 of the stdout, stderr and exit code of each of ``CLI_COMMANDS``,
+    """sha256 of the stdout, stderr and exit code of each command of ``GOLDEN``,
     keyed by format and arguments."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    commands = json.loads(GOLDEN.read_text())["commands"]
     out = {}
     for fmt in ("text", "json"):
-        for command in CLI_COMMANDS:
+        for command in commands:
             proc = subprocess.run([sys.executable, "-m", "piforge.cli", "--format", fmt,
                                    *command.split()], cwd=tree, env=env, capture_output=True)
             out[f"{fmt}: {command}"] = hashlib.sha256(b"\n--\n".join(
