@@ -211,6 +211,8 @@ class SeriesSpec:
             raise DomainError(f"n_start must be >= 0, got {self.n_start}")
         if self.g.value == 0:
             raise DomainError("series constant g = 0 gives the target 0, which has no digits")
+        if not all(mpmath.isfinite(v.value) for v in (self.g, *self.bracket)):
+            raise DomainError("series constant g and the bracket must be finite")
 
     def dpt(self) -> float:
         """Decimal digits gained per term: -log10 |x|.

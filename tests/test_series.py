@@ -710,6 +710,7 @@ _MALFORMED = {
     "n_start": (lambda doc: {**doc, "n_start": -1}, "n_start must be >= 0"),
     "x_decimal": (lambda doc: {**doc, "x_decimal": "0"}, "x = 0"),
     "g_decimal": (lambda doc: {**doc, "g_decimal": "0"}, "g = 0"),
+    "bracket_decimals": (lambda doc: {**doc, "bracket_decimals": ["inf"] * 5}, "must be finite"),
     "missing": (lambda doc: _without(doc, "nu"), "has no field 'nu'"),
     "nu": (lambda doc: {**doc, "nu": "2.5"}, "field 'nu'"),
     "prec_bits": (lambda doc: {**doc, "prec_bits": 32}, "precision must be >= 64 bits"),
@@ -730,16 +731,18 @@ def test_from_json_rejects_unknown_schema(field):
 
 
 # replacement values for a field of a valid document; none asks for more
-# than 4,096 bits or for a coefficient fill past n = 4,096
+# than 4,096 bits or for a coefficient fill past n = 4,096, and the lists of
+# five fit the nu = 2 bracket
 _POOL = (None, True, 0, -1, 1, 3, 32, 63, 64, 4096, 2.5, float("inf"), float("nan"), "", "0",
-         "-3", "2.5", "7/2", "1/0", "abc", "nan", "inf", "1e-30", "piforge/1", [], ["1"], {})
+         "-3", "2.5", "7/2", "1/0", "abc", "nan", "inf", "1e-30", "piforge/1", [], ["1"], {},
+         ["1", "-2", "3", "0", "1e-30"], ["1", "0", "0", "0", "nan"])
 
 
 @settings(derandomize=True, max_examples=200, deadline=2000)
 @given(st.data())
 def test_from_json_of_a_mutated_document_is_typed(data):
-    # a dropped key, a replaced value or truncated text either reads or
-    # raises a PiforgeError, never an untyped error
+    # a dropped key, a replaced value or truncated text either reads and
+    # verifies or raises a PiforgeError, never an untyped error
     text = _spec_text()
     doc = json.loads(text)
     kind = data.draw(st.sampled_from(("drop", "replace", "truncate")))
@@ -750,7 +753,8 @@ def test_from_json_of_a_mutated_document_is_typed(data):
         doc = _without(doc, key) if kind == "drop" else {**doc, key: data.draw(st.sampled_from(_POOL))}
         text = json.dumps(doc)
     try:
-        from_json(text)
+        spec = from_json(text)
+        verify(spec, 4, spec.prec)
     except PiforgeError:
         pass
 
@@ -773,3 +777,5 @@ def test_spec_invariants_enforced():
         dataclasses.replace(spec, x=BigReal.of(0, P))
     with pytest.raises(DomainError, match="g = 0"):
         dataclasses.replace(spec, g=BigReal.of(0, P))
+    with pytest.raises(DomainError, match="must be finite"):
+        dataclasses.replace(spec, g=BigReal.of("nan", P))
