@@ -65,7 +65,7 @@ def _fmt(x, prec: int) -> str:
         return mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=False)
 
 
-def cmd_modulus(args):
+def cmd_modulus(args) -> tuple[dict, list[str], bool]:
     prec = args.prec
     r = as_fraction(args.r)
     ctx = singular_modulus(r, prec)
@@ -95,7 +95,7 @@ def cmd_modulus(args):
     return doc, lines, True
 
 
-def cmd_alpha(args):
+def cmd_alpha(args) -> tuple[dict, list[str], bool]:
     prec = args.prec
     r = as_fraction(args.r)
     ctx = singular_modulus(r, prec)
@@ -135,7 +135,7 @@ def cmd_alpha(args):
     return doc, lines, passed
 
 
-def cmd_series(args):
+def cmd_series(args) -> tuple[dict, list[str], bool]:
     prec = args.prec
     r = as_fraction(args.r)
     spec = series.build_series(args.nu, r, prec)
@@ -212,7 +212,7 @@ def _verify_items(prec: int):
     return items
 
 
-def cmd_verify(args):
+def cmd_verify(args) -> tuple[dict, list[str], bool]:
     prec = args.prec
     items = _verify_items(prec)
     all_ok = all(ok for _, ok, _, _ in items)
