@@ -184,7 +184,13 @@ def bracket_from_a(a_coeffs, nu: int):
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """A fully determined series for 1/pi^(2nu) ready to evaluate."""
+    """A fully determined series for 1/pi^(2nu) ready to evaluate.
+
+    ``dpt()`` and the 64-bit logs of ``_log_tail_majorant`` depend on no
+    precision, so a spec computes them once, on first use, and keeps them off
+    its fields: equality, hash, repr and JSON see only the fields, and
+    ``dataclasses.replace`` builds a spec that computes its own.
+    """
 
     nu: int
     r: Fraction
@@ -222,9 +228,33 @@ class SeriesSpec:
         log clear of mpmath's shortcut for a long mantissa at low precision,
         which returns about 0 for |x| just above 1/4.
         """
+        return self._dpt
+
+    @functools.cached_property
+    def _dpt(self) -> float:
         ax = abs(self.x).value
         with mp.workprec(64 - min(0, mpmath.mag(1 - ax))):
             return float(-mpmath.log(+ax, 10))
+
+    @functools.cached_property
+    def _tail_logs(self) -> tuple | None:
+        """(log |x|, log(1 - |x|), log max |B_j|, the |B_j| / max |B_j|) at 64
+        bits for ``_log_tail_majorant``, or None when every B_j is 0."""
+        with mp.workprec(self.x.prec):
+            ax = abs(self.x.value)
+            gap = 1 - ax
+        with mp.workprec(64):
+            mags = [abs(b.value) for b in self.bracket]
+            top = max(mags)
+            if top == 0:
+                return None
+            bs = tuple(float(v / top) for v in mags)
+            if ax < mpmath.mpf(2) ** -32:
+                # 1 - |x| rounds to 1 at 64 bits for |x| < 2^-65: take both logs from |x|
+                log_x, log_gap = float(mpmath.log(ax)), float(mpmath.log1p(-ax))
+            else:
+                log_x, log_gap = float(mpmath.log1p(-gap)), float(mpmath.log(gap))
+            return log_x, log_gap, float(mpmath.log(top)), bs
 
     def target(self, prec: int) -> BigReal:
         """g / pi^(2nu) at the requested precision (library pi)."""
@@ -251,14 +281,25 @@ def evaluate(spec: SeriesSpec, terms: int, prec: int) -> BigReal:
     fraction bits: sum_j B_j S_j, S_j = sum_n c_p(n) n^j x^n. Term
     n = n_start + k m + i, i < m = min(terms, isqrt((2nu + 1) terms) + 1), adds
     t = N_p(n) x^i 2^-6n, one short product, times n^j to column j of block k,
-    whose columns are then multiplied by g = x^(n_start + k m). x, x^n_start,
-    x^m and the B_j are rounded to W bits, x^i, g, t and the block products
-    truncated, and the total rounded once to ``prec``. Before that it is within
-    1 + K sum_j |B_j| + sum_n ((|x|^(n-i) + (3(i + k) + 1)/2 c_p(n)) |B(n)|
-    + c_p(n) |x|^n sum_j n^j / 2) units of 2^-W over K blocks, to first order:
-    x^i drifts by 3i/2 units and g by (3k + 1)/2, t loses |g B(n)|, each block
-    add 1 per column and the total 1, and rounding B_j adds |S_j|/2. Raises
-    InsufficientPrecisionError when terms * dpt digits cannot be held at ``prec``.
+    whose columns are then multiplied by g = x^(n_start + k m). A block sums
+    at only the W - d fraction bits its terms reach, d = max(0, W - bitlength(g))
+    the bits that g shifts out (so |g| 2^d <= 1): each x^i is shifted right
+    by d before its product, and the block's column products by W - d. x,
+    x^n_start and the B_j are rounded to W bits; x^i for i <= m (x^m is the
+    block step), g, the shifted x^i, t and the block products are truncated;
+    the total is rounded once to ``prec``. Before that it is within
+
+        1 + K sum_j |B_j| + sum_n ((1 + (3(n - n_start) + 2k + 3)/2 c_p(n)) |B(n)|
+                                   + c_p(n) |x|^n sum_j n^j / 2)
+
+    units of 2^-W over K blocks, to first order. x^i drifts by 3i/2 units, so
+    x^m by 3m/2 and g by (2k + 1)/2 + 3mk/2. One unit of 2^(d-W) lost by the
+    shift of x^i, and one by the truncation of t, cost c_p(n) |B(n)| and |B(n)|
+    units once the block is multiplied by g; the drift of x^i adds
+    3i/2 c_p(n) |B(n)| and that of g (2k + 1 + 3mk)/2 c_p(n) |B(n)|, where
+    i + mk = n - n_start. Each block add loses 1 per column and the total 1,
+    and rounding B_j adds |S_j|/2. Raises InsufficientPrecisionError when
+    terms * dpt digits cannot be held at ``prec``.
     """
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
@@ -274,20 +315,22 @@ def evaluate(spec: SeriesSpec, terms: int, prec: int) -> BigReal:
     coeffs = _scaled(2 * spec.nu, spec.n_start + terms - 1)
     x = spec.x.value
     with mp.workprec(w + 64):     # at the ambient precision these would keep 53 bits
-        big_x, g, step, *bs = (int(mpmath.nint(mpmath.ldexp(v, w))) for v in (
-            x, x ** spec.n_start, x ** m, *(b.value for b in spec.bracket)))
+        big_x, g, *bs = (int(mpmath.nint(mpmath.ldexp(v, w))) for v in (
+            x, x ** spec.n_start, *(b.value for b in spec.bracket)))
     powers = [1 << w]
-    for _ in range(m - 1):
+    for _ in range(m):
         powers.append((powers[-1] * big_x) >> w)
+    step = powers.pop()
     cols = [0] * len(bs)
     for first in range(spec.n_start, spec.n_start + terms, m):
+        drop = max(0, w - g.bit_length())     # bits of the block that g shifts out
         block = [0] * len(bs)
         for n, xi in zip(range(first, min(first + m, spec.n_start + terms)), powers):
-            t = (coeffs[n] * xi) >> (6 * n)
+            t = (coeffs[n] * (xi >> drop)) >> (6 * n)
             for j in range(len(bs)):
                 block[j] += t
                 t *= n
-        cols = [c + ((b * g) >> w) for c, b in zip(cols, block)]
+        cols = [c + ((b * g) >> (w - drop)) for c, b in zip(cols, block)]
         g = (g * step) >> w
     return round_to(mpmath.ldexp(mpf_of(sum(map(mul, cols, bs)) >> w, prec), -w), prec)
 
@@ -322,23 +365,10 @@ def _log_tail_majorant(spec: SeriesSpec, n_stop: int) -> float:
     The sum is taken in logs, relative to the largest |B_j|, so that huge
     brackets and |x| close to 1 stay finite.
     """
+    if spec._tail_logs is None:
+        return -math.inf
+    log_x, log_gap, log_top, bs = spec._tail_logs
     p = 2 * spec.nu
-    with mp.workprec(spec.x.prec):
-        ax = abs(spec.x.value)
-        gap = 1 - ax
-    with mp.workprec(64):
-        mags = [abs(b.value) for b in spec.bracket]
-        top = max(mags)
-        if top == 0:
-            return -math.inf
-        log_top = float(mpmath.log(top))
-        bs = [float(v / top) for v in mags]
-        if ax < mpmath.mpf(2) ** -32:
-            # 1 - |x| rounds to 1 at 64 bits for |x| < 2^-65: take both logs from |x|
-            log_x, log_gap = float(mpmath.log(ax)), float(mpmath.log1p(-ax))
-        else:
-            log_x = float(mpmath.log1p(-gap))
-            log_gap = float(mpmath.log(gap))
     # the window ends by 2 n_stop + 2, so that |x| near 1 cannot force a
     # fill of coefficients far beyond the partial sum's own
     m = n_stop + min(int(_WINDOW_DIGITS * math.log(10) / -log_x) + 2, n_stop + 2)
@@ -409,7 +439,9 @@ def to_json(spec: SeriesSpec) -> str:
 def from_json(text: str) -> SeriesSpec:
     """The SeriesSpec of a schema piforge/1 document. Text that is not a JSON
     object, a missing field and a field its conversion rejects raise DomainError
-    naming it; PiforgeErrors, such as SeriesSpec's own checks, pass unchanged."""
+    naming it: ``nu``, ``n_start`` and ``prec_bits`` must be JSON integers and
+    ``bracket_decimals`` a JSON list. PiforgeErrors, such as SeriesSpec's own
+    checks, pass unchanged."""
     try:
         doc = json.loads(text)
     except ValueError:
@@ -429,16 +461,26 @@ def from_json(text: str) -> SeriesSpec:
         except (TypeError, ValueError, ArithmeticError) as exc:     # int(Infinity), mpf("1/0")
             raise DomainError(f"series spec field {key!r}: {exc}") from None
 
-    prec = field("prec_bits", int)
+    def whole(value):
+        if type(value) is not int:     # int() would truncate a float and read a bool
+            raise TypeError(f"expected a JSON integer, got {value!r}")
+        return value
+
+    def reals(values):
+        if not isinstance(values, list):     # a string would read digit by digit
+            raise TypeError(f"expected a JSON list, got {values!r}")
+        return tuple(map(real, values))
+
+    prec = field("prec_bits", whole)
     real = functools.partial(BigReal.of, prec=prec)
     return SeriesSpec(
-        nu=field("nu", int),
+        nu=field("nu", whole),
         r=field("r", as_fraction),
         x=field("x_decimal", real),
-        bracket=field("bracket_decimals", lambda ss: tuple(map(real, ss))),
+        bracket=field("bracket_decimals", reals),
         g=field("g_decimal", real),
         prec=prec,
         provenance=field("provenance", str, "solved"),
-        n_start=field("n_start", int, 0),
+        n_start=field("n_start", whole, 0),
         label=field("label", str, ""),
     )

@@ -1,6 +1,8 @@
 """CLI surface: subcommands, exit codes, JSON determinism, env override."""
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 from fractions import Fraction
@@ -8,10 +10,12 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piforge.cli import main
 
-from conftest import base_modulus_alpha_4r
+from conftest import base_modulus_alpha_4r, deadline
 
 PREC = ["--prec", "192"]
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
@@ -289,3 +293,45 @@ def test_malformed_env_precision_rejected(capsys, monkeypatch):
     code, _, err = run(capsys, ["modulus", "1"])
     assert code == 2
     assert "PIFORGE_PREC_BITS" in err
+
+
+# the argv grammar of the fuzz below: rationals of every kind the parser
+# meets, 0, negatives, a zero denominator, text and large values among them
+_R = ("0", "-3", "-7/2", "1/0", "abc", "2.5", "1", "2", "7/2", "1/3", "3", "7", "58",
+      "1000", "123456789/2", "10000000000")
+
+
+@st.composite
+def _argv(draw):
+    argv = ["--format", draw(st.sampled_from(("text", "json"))),
+            "--prec", str(draw(st.integers(64, 1024)))]
+    command = draw(st.sampled_from(("modulus", "alpha", "series", "verify")))
+    if command == "modulus":
+        return argv + [command, draw(st.sampled_from(_R))]
+    if command == "alpha":
+        return argv + [command, draw(st.sampled_from(_R)),
+                       "--route", draw(st.sampled_from(("direct", "4r", "9r", "25r")))]
+    if command == "series":
+        argv += [command, "--nu", str(draw(st.integers(1, 3))), "--r", draw(st.sampled_from(_R))]
+        terms = draw(st.one_of(st.none(), st.integers(-2, 500)))
+        return argv if terms is None else argv + ["--terms", str(terms)]
+    return argv + [command]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(argv=_argv())
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    # every argv of the grammar ends in one of the four documented exit codes,
+    # and a non-zero code comes with exactly one error line; a FAIL verdict
+    # (exit 1, no error line) would be a false one, as every series and route
+    # the grammar reaches is correct
+    out, errs = io.StringIO(), io.StringIO()
+    with deadline(20), contextlib.redirect_stdout(out), contextlib.redirect_stderr(errs):
+        try:
+            code = main(argv)
+        except SystemExit as exc:     # argparse's usage errors
+            code = exc.code
+    err = errs.getvalue()
+    assert code in (0, 1, 2, 3), argv
+    if code:
+        assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)

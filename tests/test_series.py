@@ -234,6 +234,24 @@ def test_evaluate_bit_identical_to_per_term_loop(block_specs, prec):
                 spec.label, spec.n_start, terms)
 
 
+@pytest.mark.parametrize("prec", [256, 512, 1024, 2048])
+def test_evaluate_bit_identical_where_blocks_drop_the_most_bits(prec):
+    # the r = 29/2 band has the smallest |x| of the sampled bands, so each
+    # later block sums at the fewest fraction bits; negated x floors terms of
+    # both signs and n_start = 1 starts g below 1, at the most terms evaluate
+    # accepts and just under it
+    for nu in (1, 2, 3):
+        for r in (14, Fraction(29, 2), 15):
+            spec = build_series(nu, r, prec)
+            for s in (spec, dataclasses.replace(spec, x=-spec.x),
+                      dataclasses.replace(spec, n_start=1),
+                      dataclasses.replace(spec, x=-spec.x, n_start=1)):
+                most = int((decimal_digits(prec) + 10) / s.dpt())
+                for terms in (most - 2, most - 1, most):
+                    assert evaluate(s, terms, prec).value == _per_term_reference(s, terms, prec), (
+                        nu, r, s.x.value < 0, s.n_start, terms)
+
+
 def test_store_refills_after_clear():
     spec = PI6_R7.to_spec(P)
     before = (evaluate(spec, 40, P).value, [cp(6, n) for n in range(40)])
@@ -446,13 +464,13 @@ def _kernel_reference(spec, terms, prec):
         bound = 1 + -(-terms // m) * sum(abs(b) for b in bs)
         total, top = mpmath.mpf(0), mpmath.mpf(0)
         for n in range(spec.n_start, spec.n_start + terms):
-            k, i = divmod(n - spec.n_start, m)
+            k = (n - spec.n_start) // m
             c = mpmath.ldexp(mpmath.mpf(coeffs[n]), -6 * n)
             bn = sum(b * mpmath.mpf(n) ** j for j, b in enumerate(bs))
             term = c * x ** n * bn
             total += term
             top = max(top, abs(term))
-            bound += ((abs(x) ** (n - i) + mpmath.mpf(3 * (i + k) + 1) / 2 * c) * abs(bn)
+            bound += ((1 + mpmath.mpf(3 * (n - spec.n_start) + 2 * k + 3) / 2 * c) * abs(bn)
                       + c * abs(x) ** n * sum(n ** j for j in range(p + 1)) / 2)
         # the bound is first order in 2^-W; the reference keeps about 3 prec bits
         slack = mpmath.ldexp(top * terms, 8 - 3 * prec)
@@ -529,6 +547,46 @@ def test_argument_near_one_accepted_at_low_ambient_precision():
         for v in (BigReal.of(1, P), BigReal.of(-1, P)):
             with pytest.raises(NonConvergentSeriesError):
                 SeriesSpec(nu=2, r=spec.r, x=v, bracket=spec.bracket, g=spec.g, prec=P)
+
+
+def _former_dpt(spec):
+    """-log10 |x| as SeriesSpec.dpt computed it on every call."""
+    ax = abs(spec.x).value
+    with mp.workprec(64 - min(0, mpmath.mag(1 - ax))):
+        return float(-mpmath.log(+ax, 10))
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_cached_dpt_equals_the_former_formula(nu):
+    for r in PROPERTY_POOL:
+        spec = build_series(nu, r, 512)
+        assert spec.dpt() == _former_dpt(spec) == spec.dpt(), r
+
+
+def test_replaced_spec_computes_its_own_constants():
+    # dataclasses.replace builds a new spec, so nothing cached on the old one
+    # may reach it: its dpt and tail majorant are those of a spec never used
+    spec = build_series(2, 2, P)
+    other = build_series(2, 5, P)
+    spec.dpt(), series._log_tail_majorant(spec, 20)
+    moved = dataclasses.replace(spec, x=other.x)
+    fresh = SeriesSpec(**{f.name: getattr(moved, f.name) for f in dataclasses.fields(moved)})
+    assert moved.dpt() == fresh.dpt() == _former_dpt(fresh) != spec.dpt()
+    assert series._log_tail_majorant(moved, 20) == series._log_tail_majorant(fresh, 20)
+    assert series._log_tail_majorant(moved, 20) != series._log_tail_majorant(spec, 20)
+    zero = dataclasses.replace(spec, bracket=tuple(BigReal.of(0, P) for _ in spec.bracket))
+    assert series._log_tail_majorant(zero, 20) == -math.inf
+
+
+def test_cached_constants_leave_equality_hash_repr_and_json_alone():
+    spec = build_series(2, 2, P)
+    twin = dataclasses.replace(spec)
+    before = (hash(spec), repr(spec), to_json(twin))
+    spec.dpt(), series._log_tail_majorant(spec, 20)
+    assert spec == twin and spec == dataclasses.replace(spec)
+    assert (hash(spec), repr(spec), to_json(spec)) == before
+    assert [f.name for f in dataclasses.fields(spec)] == [
+        "nu", "r", "x", "bracket", "g", "prec", "provenance", "n_start", "label"]
 
 
 def test_dpt_of_argument_near_one_is_positive():
@@ -717,6 +775,14 @@ _MALFORMED = {
     "list": (lambda doc: [doc], "not a JSON object"),
     "text": (lambda doc: "not JSON", "not a JSON object"),
     "float_r": (lambda doc: {**doc, "r": 0.5}, "field 'r'"),
+    # int() would read these as 2 and 1, and a string iterates digit by digit
+    "float_nu": (lambda doc: {**doc, "nu": 2.9}, "field 'nu': expected a JSON integer"),
+    "float_n_start": (lambda doc: {**doc, "n_start": 1.7},
+                      "field 'n_start': expected a JSON integer"),
+    "string_bracket": (lambda doc: {**doc, "bracket_decimals": "12345"},
+                       "field 'bracket_decimals': expected a JSON list"),
+    "bool_n_start": (lambda doc: {**doc, "n_start": True},
+                     "field 'n_start': expected a JSON integer"),
 }
 
 

@@ -24,7 +24,8 @@ the sorted ids of the failed tests, ``failed_ids``)
 and ``cli_sha256``, the sha256 of the stdout, stderr and exit code of each
 command of ``tests/golden/cli.json``, in text and in JSON, run in its checkout, and
 ``stages``, per key the median over ``STAGE_RUNS`` fresh interpreters of that
-interpreter's median of 7 timings in ms: of each max-term ``evaluate`` of ``STAGE_SUMS`` after one
+interpreter's median of 7 timings in ms: of each max-term ``evaluate`` of ``STAGE_SUMS`` and of
+``verify`` on the same spec and term count (``verify nu=...``), each after one
 untimed call, of cold fills of the coefficient store to n = 420 for p = 2, 4
 and 6 and to n = 700 for p = 6 (``fill p=... n=...``, each from an emptied
 store), of
@@ -75,7 +76,8 @@ STAGE_RUNS = 5
 STAGE_SCRIPT = """
 import json, statistics, sys, time
 from fractions import Fraction
-from piforge import build_series, elliptic, evaluate, rr_eval, series, solve_coefficients
+from piforge import (build_series, elliptic, evaluate, rr_eval, series, solve_coefficients,
+                     verify)
 from piforge.bigreal import decimal_digits
 
 def median_ms(call, before=lambda: None):
@@ -112,6 +114,9 @@ for nu, r, built, precs, cap in json.loads(sys.argv[1]):
         evaluate(spec, terms, prec)
         out[f"evaluate nu={nu} r={r} prec={prec} terms={terms}"] = median_ms(
             lambda: evaluate(spec, terms, prec))
+        verify(spec, terms, prec)
+        out[f"verify nu={nu} r={r} prec={prec} terms={terms}"] = median_ms(
+            lambda: verify(spec, terms, prec))
 print(json.dumps(out))
 """
 
