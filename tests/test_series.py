@@ -236,10 +236,10 @@ def test_evaluate_bit_identical_to_per_term_loop(block_specs, prec):
 
 @pytest.mark.parametrize("prec", [256, 512, 1024, 2048])
 def test_evaluate_bit_identical_where_blocks_drop_the_most_bits(prec):
-    # the r = 29/2 band has the smallest |x| of the sampled bands, so each
-    # later block sums at the fewest fraction bits; negated x floors terms of
-    # both signs and n_start = 1 starts g below 1, at the most terms evaluate
-    # accepts and just under it
+    # r = 14, 29/2 and 15, the band of perfbench's r bands with the smallest
+    # |x|, so each later block sums at the fewest fraction bits; negated x
+    # floors terms of both signs and n_start = 1 starts g below 1; at the most
+    # terms evaluate accepts and just under it
     for nu in (1, 2, 3):
         for r in (14, Fraction(29, 2), 15):
             spec = build_series(nu, r, prec)
