@@ -71,9 +71,8 @@ def alpha_direct(r, prec: int) -> AlphaValue:
     return alpha_from_context(ctx, prec)
 
 
-def alpha_from_context(ctx: ModulusContext, prec: int | None = None) -> AlphaValue:
-    """a(r) evaluated on an existing context."""
-    prec = ctx.prec if prec is None else prec
+def alpha_from_context(ctx: ModulusContext, prec: int) -> AlphaValue:
+    """a(r) evaluated on an existing context, rounded to ``prec``."""
     with mp.workprec(ctx.prec + GUARD):
         K = ctx.big_k.value
         E = ctx.big_e.value
@@ -193,8 +192,8 @@ def t5_closed_form(r, prec: int) -> BigReal:
     wprec = prec + 2 * GUARD
     ctx = singular_modulus(rf, wprec)
     ctx25 = singular_modulus(25 * rf, wprec)
-    a_r = alpha_from_context(ctx)
-    a_25 = alpha_from_context(ctx25)
+    a_r = alpha_from_context(ctx, ctx.prec)
+    a_25 = alpha_from_context(ctx25, ctx25.prec)
     with mp.workprec(wprec):
         sr = ctx.sqrt_r().value
         m5 = ctx.big_k.value / ctx25.big_k.value

@@ -242,11 +242,8 @@ class BigReal:
         return NotImplemented if v is None else self.value >= v
 
     def __eq__(self, other):
-        if isinstance(other, BigReal):
-            return self.value == other.value
-        if isinstance(other, (int, Fraction)):
-            return self.value == self._coerce(other).value
-        return NotImplemented
+        v = self._cmp_val(other)
+        return NotImplemented if v is None else self.value == v
 
     def __hash__(self):
         return hash(self.value)

@@ -77,9 +77,8 @@ class PublishedSeries:
         # is rhs_num/rhs_den (already in the published normalization)
         with mp.workprec(prec + GUARD):
             g = mpf_of(self.rhs_num, prec + GUARD) / self.rhs_den.eval(prec + GUARD).value
-        return SeriesSpec(nu=self.nu, r=self.r, x=xv, bracket=bracket,
-                          g=round_to(g, prec), prec=prec, provenance="published",
-                          n_start=self.n_start_effective, label=self.label)
+        return SeriesSpec(nu=self.nu, r=self.r, x=xv, bracket=bracket, g=round_to(g, prec),
+                          provenance="published", n_start=self.n_start_effective, label=self.label)
 
     def rhs_value(self, prec: int) -> BigReal:
         """Published right side rhs_num/(rhs_den * pi^(2nu))."""

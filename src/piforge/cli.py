@@ -1,11 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``modulus``, ``alpha``, ``series``, ``verify``. Every command
-accepts ``--prec`` (bits, default 512, overridable through the environment
-variable PIFORGE_PREC_BITS, which must then be a whole number) and
-``--format text|json``. JSON output is
-deterministic: keys sorted, decimals rendered at a precision-derived digit
-count, no timestamps, so identical invocations are byte-identical.
+accepts ``--prec`` (bits, default 512) and ``--format text|json``. JSON
+output is deterministic: keys sorted, decimals rendered at a
+precision-derived digit count, no timestamps, so identical invocations are
+byte-identical.
 
 Each ``cmd_*`` returns (JSON document, text lines, passed); ``main`` prints
 one of the two. Exit codes: 0 success, 1 verification failure, 2 domain error
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -29,7 +27,7 @@ from mpmath import mp
 
 from . import catalog, series
 from .alpha import ROUTE_DIRECT, alpha_25r, alpha_4r, alpha_9r, alpha_direct
-from .bigreal import BigReal, _check_prec, as_fraction, decimal_digits, mpf_of
+from .bigreal import BigReal, _check_prec, as_fraction, decimal_digits, round_to
 from .elliptic import GUARD, singular_modulus
 from .errors import DomainError, InsufficientPrecisionError, PiforgeError, VerificationError
 from .identities import identity_battery
@@ -46,23 +44,8 @@ EXIT_PRECISION = 3
 _ROUTES = {"4r": (4, alpha_4r), "9r": (9, alpha_9r), "25r": (25, alpha_25r)}
 
 
-def _default_prec() -> int:
-    env = os.environ.get("PIFORGE_PREC_BITS")
-    if not env:
-        return DEFAULT_PREC
-    try:
-        return int(env)
-    except ValueError:
-        raise DomainError(f"PIFORGE_PREC_BITS must be a whole number of bits, "
-                          f"got {env!r}") from None
-
-
-def _fmt(x, prec: int) -> str:
-    digits = decimal_digits(prec)
-    if isinstance(x, BigReal):
-        return x.to_decimal(digits)
-    with mp.workprec(prec + 16):
-        return mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=False)
+def _fmt(x: BigReal, prec: int) -> str:
+    return x.to_decimal(decimal_digits(prec))
 
 
 def cmd_modulus(args) -> tuple[dict, list[str], bool]:
@@ -105,8 +88,8 @@ def cmd_alpha(args) -> tuple[dict, list[str], bool]:
     if args.route != ROUTE_DIRECT:
         divisor, reduce_fn = _ROUTES[args.route]
         value = reduce_fn(alpha_direct(r / divisor, prec))
-        with mp.workprec(prec + GUARD):
-            residual = abs(value.value.value - direct.value.value)
+        with mp.workprec(prec + GUARD):     # formed at these bits, so the rounding is exact
+            residual = round_to(abs(value.value.value - direct.value.value), prec + GUARD)
     threshold = Fraction(1, 2 ** (prec - 32))
     doc = {
         "command": "alpha",
@@ -129,7 +112,7 @@ def cmd_alpha(args) -> tuple[dict, list[str], bool]:
     ]
     if residual is not None:
         lines.append(f"|route - direct| = {doc['route_residual']} (threshold {doc['threshold']})")
-        passed = residual <= mpf_of(threshold, prec)
+        passed = residual <= threshold
         if not passed:
             lines.append("FAIL: route disagrees with direct evaluation")
     return doc, lines, passed
@@ -234,9 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="piforge",
         description="singular moduli, the elliptic alpha function, and "
                     "Ramanujan-type series for 1/pi^(2nu) at arbitrary precision")
-    parser.add_argument("--prec", type=int, default=_default_prec(),
-                        help="working precision in bits (default 512; "
-                             "env PIFORGE_PREC_BITS overrides)")
+    parser.add_argument("--prec", type=int, default=DEFAULT_PREC,
+                        help="working precision in bits (default 512)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="cmd", required=True)
 

@@ -215,6 +215,7 @@ class ModulusContext:
     Invariants (enforced to working accuracy by construction and rechecked
     by the test suite): 0 < k < 1, k^2 + kprime^2 = 1 within 2^(-prec+8),
     and the defining property K(kprime)/K(k) = sqrt(r) within 2^(-prec+16).
+    ``prec`` is read from k; all five values are rounded to it.
     """
 
     r: Fraction
@@ -223,7 +224,10 @@ class ModulusContext:
     kprime: BigReal
     big_k: BigReal
     big_e: BigReal
-    prec: int
+
+    @property
+    def prec(self) -> int:
+        return self.k.prec
 
     def sqrt_r(self) -> BigReal:
         with mp.workprec(self.prec + GUARD):
@@ -270,7 +274,7 @@ def singular_modulus(r, prec: int) -> ModulusContext:
                 f"at {prec} bits for r={rf}",
                 required_bits=need,
             )
-    return ModulusContext(rf, *(round_to(v, prec) for v in values), prec)
+    return ModulusContext(rf, *(round_to(v, prec) for v in values))
 
 
 @functools.lru_cache(maxsize=None)

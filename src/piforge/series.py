@@ -168,16 +168,12 @@ def bracket_from_a(a_coeffs, nu: int):
     """
     if len(a_coeffs) != 2 * nu + 1:
         raise DomainError(f"expected {2 * nu + 1} coefficients, got {len(a_coeffs)}")
-    top = 2 * nu
     out = []
-    for j in range(top + 1):
-        acc = None
-        for m in range(j, top + 1):
-            s = stirling_first(m, j)
-            if s == 0:
-                continue
-            term = a_coeffs[m] * s
-            acc = term if acc is None else acc + term
+    for j in range(2 * nu + 1):
+        acc = a_coeffs[j] * stirling_first(j, j)
+        for m in range(j + 1, 2 * nu + 1):
+            if s := stirling_first(m, j):
+                acc += a_coeffs[m] * s
         out.append(acc)
     return out
 
@@ -189,7 +185,8 @@ class SeriesSpec:
     ``dpt()`` and the 64-bit logs of ``_log_tail_majorant`` depend on no
     precision, so a spec computes them once, on first use, and keeps them off
     its fields: equality, hash, repr and JSON see only the fields, and
-    ``dataclasses.replace`` builds a spec that computes its own.
+    ``dataclasses.replace`` builds a spec that computes its own. ``prec`` is
+    read from x, so it follows any x a replace puts in.
     """
 
     nu: int
@@ -197,7 +194,6 @@ class SeriesSpec:
     x: BigReal
     bracket: tuple
     g: BigReal
-    prec: int
     provenance: str = "solved"
     n_start: int = 0
     label: str = ""
@@ -219,6 +215,11 @@ class SeriesSpec:
             raise DomainError("series constant g = 0 gives the target 0, which has no digits")
         if not all(mpmath.isfinite(v.value) for v in (self.g, *self.bracket)):
             raise DomainError("series constant g and the bracket must be finite")
+
+    @property
+    def prec(self) -> int:
+        """The precision of x, in bits, that ``to_json`` writes as prec_bits."""
+        return self.x.prec
 
     def dpt(self) -> float:
         """Decimal digits gained per term: -log10 |x|.
@@ -270,8 +271,7 @@ def build_series(nu: int, r, prec: int) -> SeriesSpec:
     """
     sol = solve_coefficients(nu, r, prec)
     return SeriesSpec(nu=nu, r=sol.r, x=sol.x, bracket=tuple(bracket_from_a(sol.a_coeffs, nu)),
-                      g=sol.g, prec=prec, provenance="solved",
-                      label=f"solved nu={nu} r={sol.r}")
+                      g=sol.g, provenance="solved", label=f"solved nu={nu} r={sol.r}")
 
 
 def evaluate(spec: SeriesSpec, terms: int, prec: int) -> BigReal:
@@ -439,9 +439,9 @@ def to_json(spec: SeriesSpec) -> str:
 def from_json(text: str) -> SeriesSpec:
     """The SeriesSpec of a schema piforge/1 document. Text that is not a JSON
     object, a missing field and a field its conversion rejects raise DomainError
-    naming it: ``nu``, ``n_start`` and ``prec_bits`` must be JSON integers and
-    ``bracket_decimals`` a JSON list. PiforgeErrors, such as SeriesSpec's own
-    checks, pass unchanged."""
+    naming it: ``nu``, ``n_start`` and ``prec_bits`` must be JSON integers,
+    ``provenance`` and ``label`` JSON strings and ``bracket_decimals`` a JSON
+    list. PiforgeErrors, such as SeriesSpec's own checks, pass unchanged."""
     try:
         doc = json.loads(text)
     except ValueError:
@@ -466,6 +466,11 @@ def from_json(text: str) -> SeriesSpec:
             raise TypeError(f"expected a JSON integer, got {value!r}")
         return value
 
+    def string(value):
+        if not isinstance(value, str):     # str() would read null as "None"
+            raise TypeError(f"expected a JSON string, got {value!r}")
+        return value
+
     def reals(values):
         if not isinstance(values, list):     # a string would read digit by digit
             raise TypeError(f"expected a JSON list, got {values!r}")
@@ -479,8 +484,7 @@ def from_json(text: str) -> SeriesSpec:
         x=field("x_decimal", real),
         bracket=field("bracket_decimals", reals),
         g=field("g_decimal", real),
-        prec=prec,
-        provenance=field("provenance", str, "solved"),
+        provenance=field("provenance", string, "solved"),
         n_start=field("n_start", whole, 0),
-        label=field("label", str, ""),
+        label=field("label", string, ""),
     )

@@ -126,8 +126,9 @@ def derivative_stack(nu: int) -> tuple:
 def substitute_alpha(stack, ctx: ModulusContext) -> list:
     """Replace every E by lambda K + mu/K, lambda = 1 - a(r)/sqrt(r) and
     mu = pi/(4 sqrt(r)), in each entry (P, den) of ``stack`` at u = k_r^2, with
-    a(r) = ``alpha_from_context(ctx)``: one Laurent polynomial in K per entry,
-    {K-exponent: BigReal} without zeros, at the context's precision.
+    a(r) = ``alpha_from_context(ctx, ctx.prec)``: one Laurent polynomial in
+    K per entry, {K-exponent: BigReal} without zeros, at the context's
+    precision.
 
     One table of u^k (denominators included) and one of s[j][t] =
     C(j,t) lambda^(j-t) mu^t serve the stack: term (i, j) adds c(u) s[j][t],
@@ -136,8 +137,8 @@ def substitute_alpha(stack, ctx: ModulusContext) -> list:
     of the stack) when |den(u)| does not exceed its rounding bound
     sum_k |c_k| u^k 2^(-wprec), wprec the working precision.
     """
-    a = alpha_from_context(ctx)
     prec = ctx.prec
+    a = alpha_from_context(ctx, prec)
     wprec = prec + 2 * GUARD
     with mp.workprec(wprec):
         uv = ctx.k.value ** 2

@@ -274,25 +274,14 @@ def test_verify_scaled_thresholds_at_low_precision(capsys):
     assert "overall: PASS" in out
 
 
-def test_env_var_default_precision(capsys, monkeypatch):
-    from piforge.cli import build_parser
-
-    monkeypatch.setenv("PIFORGE_PREC_BITS", "192")
-    args = build_parser().parse_args(["modulus", "1"])
-    assert args.prec == 192
-
-
-def test_env_var_ignored_when_flag_given(capsys, monkeypatch):
-    monkeypatch.setenv("PIFORGE_PREC_BITS", "192")
-    code, out, _ = run(capsys, ["--prec", "256", "modulus", "1"])
-    assert code == 0
-
-
-def test_malformed_env_precision_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("PIFORGE_PREC_BITS", "512bits")
-    code, _, err = run(capsys, ["modulus", "1"])
-    assert code == 2
-    assert "PIFORGE_PREC_BITS" in err
+def test_default_precision_ignores_the_environment(capsys, monkeypatch):
+    # only --prec sets the precision: the former PIFORGE_PREC_BITS, a whole
+    # number or not, leaves a command without --prec at its 512-bit output
+    expected = run(capsys, ["--prec", "512", "modulus", "2"])
+    assert expected[0] == 0
+    for value in ("192", "512bits"):
+        monkeypatch.setenv("PIFORGE_PREC_BITS", value)
+        assert run(capsys, ["modulus", "2"]) == expected
 
 
 # the argv grammar of the fuzz below: rationals of every kind the parser

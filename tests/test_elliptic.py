@@ -296,6 +296,15 @@ def test_context_invariants():
     assert abs((ctx.q - nome(5, P)).value) < tol_bits(P, 8)
 
 
+@pytest.mark.parametrize("r", [2, Fraction(1, 3)], ids=str)
+def test_context_prec_is_the_precision_of_its_values(r):
+    # prec is no field: it reads the precision all five values are rounded to
+    for prec in (P, 333):
+        ctx = singular_modulus(r, prec)
+        assert ctx.prec == prec
+        assert [v.prec for v in (ctx.q, ctx.k, ctx.kprime, ctx.big_k, ctx.big_e)] == [prec] * 5
+
+
 def test_quarter_modulus_identity():
     # k_{r/4} = 2 sqrt(k_r)/(1 + k_r)
     for r in (4, 8, 16):
@@ -360,7 +369,7 @@ def direct_context(r, prec):
     """The context built at ``prec`` itself and rounded once, bypassing the store."""
     rf = Fraction(r)
     values = elliptic._context.__wrapped__(rf, prec)
-    return ModulusContext(rf, *(round_to(v, prec) for v in values), prec)
+    return ModulusContext(rf, *(round_to(v, prec) for v in values))
 
 
 @pytest.mark.parametrize("r", STORE_RS, ids=str)

@@ -487,8 +487,7 @@ def test_evaluate_within_stated_error_bound(source, r, nu, entry, prec, share):
     # published one: the shifts then floor terms of both signs
     spec = build_series(nu, r, prec) if source == "solved" else entry.to_spec(prec)
     if source == "negated":
-        spec = SeriesSpec(nu=spec.nu, r=spec.r, x=-spec.x, bracket=spec.bracket,
-                          g=spec.g, prec=prec)
+        spec = SeriesSpec(nu=spec.nu, r=spec.r, x=-spec.x, bracket=spec.bracket, g=spec.g)
     most = min(400, int((decimal_digits(prec) + 10) / spec.dpt()))
     terms = max(1, int(share * most))
     got = evaluate(spec, terms, prec).value
@@ -503,7 +502,7 @@ def test_tail_majorant_finite_for_argument_near_one():
     # never reach its geometric regime there
     spec = PI4_R2.to_spec(P)
     x = BigReal.of(1, P) - BigReal.of(2, P) ** -100
-    near = SeriesSpec(nu=2, r=spec.r, x=x, bracket=spec.bracket, g=spec.g, prec=P)
+    near = SeriesSpec(nu=2, r=spec.r, x=x, bracket=spec.bracket, g=spec.g)
     rep = verify(near, 5, P)
     assert math.isfinite(rep.threshold_digits)
 
@@ -543,10 +542,10 @@ def test_argument_near_one_accepted_at_low_ambient_precision():
     minus_x = -x
     with mp.workprec(53):
         for v in (x, minus_x):
-            SeriesSpec(nu=2, r=spec.r, x=v, bracket=spec.bracket, g=spec.g, prec=P)
+            SeriesSpec(nu=2, r=spec.r, x=v, bracket=spec.bracket, g=spec.g)
         for v in (BigReal.of(1, P), BigReal.of(-1, P)):
             with pytest.raises(NonConvergentSeriesError):
-                SeriesSpec(nu=2, r=spec.r, x=v, bracket=spec.bracket, g=spec.g, prec=P)
+                SeriesSpec(nu=2, r=spec.r, x=v, bracket=spec.bracket, g=spec.g)
 
 
 def _former_dpt(spec):
@@ -584,13 +583,23 @@ def test_cached_constants_leave_equality_hash_repr_and_json_alone():
     assert spec == twin and spec == dataclasses.replace(spec)
     assert (hash(spec), repr(spec), to_json(spec)) == before
     assert [f.name for f in dataclasses.fields(spec)] == [
-        "nu", "r", "x", "bracket", "g", "prec", "provenance", "n_start", "label"]
+        "nu", "r", "x", "bracket", "g", "provenance", "n_start", "label"]
+
+
+def test_prec_follows_a_replaced_x():
+    # prec is read from x, so a replace that moves x to another precision
+    # moves what to_json writes as prec_bits with it
+    spec = build_series(2, 2, P)
+    assert spec.prec == json.loads(to_json(spec))["prec_bits"] == P
+    for bits in (P // 2, 2 * P):
+        moved = dataclasses.replace(spec, x=round_to(spec.x.value, bits))
+        assert moved.prec == json.loads(to_json(moved))["prec_bits"] == bits
 
 
 def test_dpt_of_argument_near_one_is_positive():
     spec = PI4_R2.to_spec(P)
     x = BigReal.of(1, P) - BigReal.of(2, P) ** -100
-    near = SeriesSpec(nu=2, r=spec.r, x=x, bracket=spec.bracket, g=spec.g, prec=P)
+    near = SeriesSpec(nu=2, r=spec.r, x=x, bracket=spec.bracket, g=spec.g)
     assert near.dpt() == pytest.approx(2.0 ** -100 / math.log(10), rel=1e-12, abs=0)
 
 
@@ -598,7 +607,7 @@ def test_dpt_of_argument_just_above_a_quarter():
     # a 64-bit log of a 256-bit mantissa this close to 1/4 comes out near 0
     spec = PI4_R2.to_spec(P)
     x = BigReal.of(Fraction(1, 4), P) + BigReal.of(2, P) ** -257
-    near = SeriesSpec(nu=2, r=spec.r, x=x, bracket=spec.bracket, g=spec.g, prec=P)
+    near = SeriesSpec(nu=2, r=spec.r, x=x, bracket=spec.bracket, g=spec.g)
     assert near.dpt() == pytest.approx(math.log10(4), rel=1e-15, abs=0)
 
 
@@ -781,6 +790,10 @@ _MALFORMED = {
                        "field 'bracket_decimals': expected a JSON list"),
     "bool_n_start": (lambda doc: {**doc, "n_start": True},
                      "field 'n_start': expected a JSON integer"),
+    # str() would read these as "None" and "['a', 1]"
+    "null_provenance": (lambda doc: {**doc, "provenance": None},
+                        "field 'provenance': expected a JSON string"),
+    "list_label": (lambda doc: {**doc, "label": ["a", 1]}, "field 'label': expected a JSON string"),
 }
 
 
@@ -826,15 +839,13 @@ def test_from_json_of_a_mutated_document_is_typed(data):
 def test_spec_invariants_enforced():
     spec = build_series(2, 2, P)
     with pytest.raises(DomainError):
-        SeriesSpec(nu=2, r=spec.r, x=spec.x, bracket=spec.bracket[:3],
-                   g=spec.g, prec=P)
+        SeriesSpec(nu=2, r=spec.r, x=spec.x, bracket=spec.bracket[:3], g=spec.g)
     with pytest.raises(NonConvergentSeriesError):
-        SeriesSpec(nu=2, r=spec.r, x=BigReal.of(2, P), bracket=spec.bracket,
-                   g=spec.g, prec=P)
+        SeriesSpec(nu=2, r=spec.r, x=BigReal.of(2, P), bracket=spec.bracket, g=spec.g)
     for nu in (0, 4):
         with pytest.raises(DomainError, match=r"\{1, 2, 3\}"):
             SeriesSpec(nu=nu, r=spec.r, x=spec.x, bracket=(spec.bracket[0],) * (2 * nu + 1),
-                       g=spec.g, prec=P)
+                       g=spec.g)
     with pytest.raises(DomainError, match="n_start"):
         dataclasses.replace(spec, n_start=-1)
     with pytest.raises(DomainError, match="x = 0"):

@@ -10,7 +10,8 @@ temporary directory (``TMPDIR`` decides where), so both sides run from a clean
 checkout, as the benchmark itself is run. For every workload and seed the
 script then runs ``python3 perfbench/run.py --workload W --seed S`` in
 ``--pairs`` parent/change pairs, alternating which side runs first, at the
-benchmark's own run length.
+benchmark's own run length. Without ``--seed`` it runs the ``default`` and
+``held_out`` seeds of the working tree's ``perfbench/meta.json``.
 
 The output holds, per workload, seed and end-to-end metric, each side's
 median and quartiles and its raw runs, the number of pairs the change won,
@@ -223,7 +224,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", action="append", type=int)
     args = ap.parse_args(argv)
     workloads = args.workload or list(WORKLOADS)
-    seeds = args.seed or [1]
+    meta = json.loads((ROOT / "perfbench" / "meta.json").read_text(encoding="utf-8"))["seeds"]
+    seeds = args.seed or [meta["default"], meta["held_out"]]
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
